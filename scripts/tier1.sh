@@ -21,6 +21,25 @@ jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 echo "== tier-1: plain build + full ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "${jobs}"
+
+# The FFT plan kernels spell every complex multiply out as real
+# arithmetic (DESIGN.md §10.1a). A std::complex multiply compiles to inline
+# math plus a NaN test with a __muldc3 fallback that blocks
+# vectorisation, so one creeping back into plan.cc shows up as a
+# reference to that libgcc routine in the object file.
+# (No `grep -q` on these pipes: it exits at the first match, and under
+# pipefail the writer's SIGPIPE would turn that match into a failure.)
+fft_lib="build/src/libsleepwalk_fft.a"
+if ! ar t "${fft_lib}" | grep -x 'plan.cc.o' >/dev/null; then
+  echo "tier-1: plan.cc.o not found in ${fft_lib}" >&2
+  exit 1
+fi
+if nm -A "${fft_lib}" | grep -E ':plan\.cc\.o: +U __muldc3$' >/dev/null; then
+  echo "tier-1: src/sleepwalk/fft/plan.cc calls __muldc3 (a std::complex" \
+    "multiply in the plan kernels; spell it out, see DESIGN.md §10.1a)" >&2
+  exit 1
+fi
+
 # --timeout: no single test may wedge the suite — a hung worker pool or
 # a crash-sweep livelock should fail that one test, not stall CI until
 # the job-level timeout reaps the whole run.

@@ -20,6 +20,16 @@ void CheckSize(std::size_t got, std::size_t want) {
   }
 }
 
+// a * b in real arithmetic: the ac - bd, ad + bc that std::complex's
+// operator* computes inline, without the NaN test and __muldc3 fallback
+// GCC attaches to it. Bit-identical on finite input (DESIGN.md §10.1a).
+// Every complex multiply in this file goes through here except the
+// radix-2 butterfly, which spells the same products out on components.
+Complex Mul(Complex a, Complex b) noexcept {
+  return {a.real() * b.real() - a.imag() * b.imag(),
+          a.real() * b.imag() + a.imag() * b.real()};
+}
+
 }  // namespace
 
 Plan::Radix2Kernel Plan::MakeKernel(std::size_t n) {
@@ -68,16 +78,26 @@ void Plan::Radix2Kernel::Transform(std::span<Complex> data,
     if (i < j) std::swap(data[i], data[j]);
   }
 
+  // Inverse twiddles are the conjugates: one sign on the imaginary part
+  // (an exact negation) instead of a branch per butterfly. The butterfly
+  // works on components, not Complex temporaries: copying `u` out as a
+  // value made GCC spill it through the stack and stall on the reload.
+  const double sign = inverse ? -1.0 : 1.0;
   for (std::size_t len = 2; len <= size; len <<= 1) {
     const Complex* stage = twiddles.data() + (len / 2 - 1);
     const std::size_t half = len / 2;
     for (std::size_t i = 0; i < size; i += len) {
       for (std::size_t k = 0; k < half; ++k) {
-        const Complex w = inverse ? std::conj(stage[k]) : stage[k];
-        const Complex u = data[i + k];
-        const Complex v = data[i + k + half] * w;
-        data[i + k] = u + v;
-        data[i + k + half] = u - v;
+        const double wr = stage[k].real();
+        const double wi = sign * stage[k].imag();
+        Complex& top = data[i + k];
+        Complex& bottom = data[i + k + half];
+        const double vr = bottom.real() * wr - bottom.imag() * wi;
+        const double vi = bottom.real() * wi + bottom.imag() * wr;
+        const double ur = top.real();
+        const double ui = top.imag();
+        top = {ur + vr, ui + vi};
+        bottom = {ur - vr, ui - vi};
       }
     }
   }
@@ -141,10 +161,12 @@ void Plan::BluesteinExecute(FftScratch& scratch, bool inverse,
     // b is index-symmetric, so FFT(b) is even and FFT(conj(b))[k] is
     // simply conj(FFT(b)[k]) — the forward table serves both directions.
     for (std::size_t k = 0; k < m; ++k) {
-      scratch.conv[k] *= std::conj(fft_b_[k]);
+      scratch.conv[k] = Mul(scratch.conv[k], std::conj(fft_b_[k]));
     }
   } else {
-    for (std::size_t k = 0; k < m; ++k) scratch.conv[k] *= fft_b_[k];
+    for (std::size_t k = 0; k < m; ++k) {
+      scratch.conv[k] = Mul(scratch.conv[k], fft_b_[k]);
+    }
   }
   kernel_.Transform(scratch.conv, /*inverse=*/true);
 
@@ -154,11 +176,11 @@ void Plan::BluesteinExecute(FftScratch& scratch, bool inverse,
   out.resize(n_);
   if (inverse) {
     for (std::size_t k = 0; k < n_; ++k) {
-      out[k] = scratch.conv[k] * scale * std::conj(chirp_[k]);
+      out[k] = Mul(scratch.conv[k] * scale, std::conj(chirp_[k]));
     }
   } else {
     for (std::size_t k = 0; k < n_; ++k) {
-      out[k] = scratch.conv[k] * scale * chirp_[k];
+      out[k] = Mul(scratch.conv[k] * scale, chirp_[k]);
     }
   }
 }
@@ -173,7 +195,7 @@ void Plan::Forward(std::span<const Complex> in, FftScratch& scratch,
   }
   scratch.conv.assign(kernel_.n, Complex{});
   for (std::size_t k = 0; k < n_; ++k) {
-    scratch.conv[k] = in[k] * chirp_[k];
+    scratch.conv[k] = Mul(in[k], chirp_[k]);
   }
   BluesteinExecute(scratch, /*inverse=*/false, out);
 }
@@ -190,7 +212,7 @@ void Plan::Inverse(std::span<const Complex> in, FftScratch& scratch,
   }
   scratch.conv.assign(kernel_.n, Complex{});
   for (std::size_t k = 0; k < n_; ++k) {
-    scratch.conv[k] = in[k] * std::conj(chirp_[k]);
+    scratch.conv[k] = Mul(in[k], std::conj(chirp_[k]));
   }
   BluesteinExecute(scratch, /*inverse=*/true, out);
 }
@@ -224,8 +246,8 @@ void Plan::ForwardReal(std::span<const double> in, FftScratch& scratch,
     const Complex z_k = scratch.half[k];
     const Complex z_mirror = std::conj(scratch.half[(h - k) % h]);
     const Complex even = 0.5 * (z_k + z_mirror);
-    const Complex odd = Complex{0.0, -0.5} * (z_k - z_mirror);
-    const Complex cross = real_twiddles_[k] * odd;
+    const Complex odd = Mul(Complex{0.0, -0.5}, z_k - z_mirror);
+    const Complex cross = Mul(real_twiddles_[k], odd);
     out[k] = even + cross;
     out[k + h] = even - cross;
   }

@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -107,6 +108,13 @@ struct AtomicWriteFailCase {
   int err;              // expected Error.err
   const char* content;  // expected file content after the failure
 };
+
+// Names each case by its failpoint spec. Without a printer gtest shows the
+// raw struct bytes, pointers included, and the discovered ctest names
+// change with every load address.
+void PrintTo(const AtomicWriteFailCase& param, std::ostream* os) {
+  *os << param.spec;
+}
 
 class AtomicWriteFailure
     : public testing::TestWithParam<AtomicWriteFailCase> {};
