@@ -1,5 +1,6 @@
 #include "sleepwalk/sim/behavior.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -20,11 +21,8 @@ double HashGaussian(std::uint64_t key) noexcept {
          std::cos(2.0 * std::numbers::pi * u2);
 }
 
-namespace {
-
-// Is `when_sec` inside day `day`'s jittered up-window?
-bool InWindowOfDay(const DiurnalParams& params, std::int64_t when_sec,
-                   std::int64_t day, std::uint64_t noise_key) noexcept {
+DiurnalWindow DiurnalWindowOfDay(const DiurnalParams& params, std::int64_t day,
+                                 std::uint64_t noise_key) noexcept {
   const auto day_key = MixHash(noise_key, static_cast<std::uint64_t>(day));
   const double start_jitter =
       params.sigma_start_sec > 0.0
@@ -38,19 +36,14 @@ bool InWindowOfDay(const DiurnalParams& params, std::int64_t when_sec,
                        params.on_start_sec + start_jitter;
   const double duration =
       std::max(params.on_duration_sec + duration_jitter, 0.0);
-  const auto t = static_cast<double>(when_sec);
-  return t >= start && t < start + duration;
+  return {start, start + duration};
 }
-
-}  // namespace
 
 bool DiurnalIsOn(const DiurnalParams& params, std::int64_t when_sec,
                  std::uint64_t noise_key) noexcept {
-  // Floor-division day index (robust to negative times).
-  std::int64_t day = when_sec / kDaySeconds;
-  if (when_sec < 0 && when_sec % kDaySeconds != 0) --day;
-  return InWindowOfDay(params, when_sec, day, noise_key) ||
-         InWindowOfDay(params, when_sec, day - 1, noise_key);
+  return InDiurnalWindow(when_sec, [&](std::int64_t day) {
+    return DiurnalWindowOfDay(params, day, noise_key);
+  });
 }
 
 bool IntermittentIsOn(double duty, std::int64_t chunk_sec,

@@ -33,10 +33,43 @@ struct DiurnalParams {
   double sigma_duration_sec = 0.0;
 };
 
+/// Floor-division day index of `when_sec` (robust to negative times).
+constexpr std::int64_t DayIndex(std::int64_t when_sec) noexcept {
+  std::int64_t day = when_sec / kDaySeconds;
+  if (when_sec < 0 && when_sec % kDaySeconds != 0) --day;
+  return day;
+}
+
+/// One day's jittered up-window [start, end), in seconds since the epoch.
+struct DiurnalWindow {
+  double start = 0.0;
+  double end = 0.0;
+
+  bool Contains(std::int64_t when_sec) const noexcept {
+    const auto t = static_cast<double>(when_sec);
+    return t >= start && t < end;
+  }
+};
+
+/// Day `day`'s window of the diurnal address `noise_key`. The start and
+/// duration jitter are drawn once per (address, day), so the window is a
+/// pure function of its arguments; callers may cache it per day.
+DiurnalWindow DiurnalWindowOfDay(const DiurnalParams& params, std::int64_t day,
+                                 std::uint64_t noise_key) noexcept;
+
+/// The diurnal on-rule over any source of day windows: up when
+/// `when_sec` falls in its own day's window or in the previous day's
+/// (windows may cross midnight). `window_of_day(day)` must return
+/// DiurnalWindowOfDay's value for that day; SimTransport passes a memo.
+template <typename WindowOfDay>
+bool InDiurnalWindow(std::int64_t when_sec, WindowOfDay&& window_of_day) {
+  const std::int64_t day = DayIndex(when_sec);
+  return window_of_day(day).Contains(when_sec) ||
+         window_of_day(day - 1).Contains(when_sec);
+}
+
 /// True when a diurnal address is up at `when_sec`. `noise_key`
 /// identifies the address; jitter is drawn once per (address, day).
-/// Windows may cross midnight; both the current and previous day's
-/// windows are checked.
 bool DiurnalIsOn(const DiurnalParams& params, std::int64_t when_sec,
                  std::uint64_t noise_key) noexcept;
 

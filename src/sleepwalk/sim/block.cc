@@ -35,6 +35,28 @@ DiurnalParams DiurnalParamsOf(const BlockSpec& spec,
   return params;
 }
 
+// The one on-state rule, shared by AddressIsOn and SimTransport.
+// `window_of_day(day)` yields the address's DiurnalWindowOfDay for a
+// day; it is called only for diurnal addresses.
+template <typename WindowOfDay>
+bool IsOnWith(const BlockSpec& spec, std::uint8_t octet, std::int64_t when_sec,
+              WindowOfDay&& window_of_day) {
+  if (InOutage(spec, when_sec)) return false;
+  switch (CategoryOf(spec, octet)) {
+    case Category::kNone:
+      return false;
+    case Category::kAlways:
+      return true;
+    case Category::kDiurnal:
+      return InDiurnalWindow(when_sec, window_of_day);
+    case Category::kIntermittent:
+      return IntermittentIsOn(spec.intermittent_duty,
+                              spec.intermittent_chunk_sec, when_sec,
+                              MixHash(spec.seed, octet, 0x17u));
+  }
+  return false;
+}
+
 }  // namespace
 
 double DiurnalStartOf(const BlockSpec& spec, std::uint8_t octet) noexcept {
@@ -48,21 +70,10 @@ double DiurnalStartOf(const BlockSpec& spec, std::uint8_t octet) noexcept {
 
 bool AddressIsOn(const BlockSpec& spec, std::uint8_t octet,
                  std::int64_t when_sec) noexcept {
-  if (InOutage(spec, when_sec)) return false;
-  switch (CategoryOf(spec, octet)) {
-    case Category::kNone:
-      return false;
-    case Category::kAlways:
-      return true;
-    case Category::kDiurnal:
-      return DiurnalIsOn(DiurnalParamsOf(spec, octet), when_sec,
-                         MixHash(spec.seed, octet));
-    case Category::kIntermittent:
-      return IntermittentIsOn(spec.intermittent_duty,
-                              spec.intermittent_chunk_sec, when_sec,
-                              MixHash(spec.seed, octet, 0x17u));
-  }
-  return false;
+  return IsOnWith(spec, octet, when_sec, [&](std::int64_t day) {
+    return DiurnalWindowOfDay(DiurnalParamsOf(spec, octet), day,
+                              MixHash(spec.seed, octet));
+  });
 }
 
 bool AddressResponds(const BlockSpec& spec, std::uint8_t octet,
@@ -74,26 +85,12 @@ bool AddressResponds(const BlockSpec& spec, std::uint8_t octet,
 double TrueAvailability(const BlockSpec& spec,
                         std::int64_t when_sec) noexcept {
   const int ever_active = spec.EverActiveCount();
-  if (ever_active == 0 || InOutage(spec, when_sec)) return 0.0;
-
-  double up = static_cast<double>(spec.n_always);
-  const int diurnal_begin = 1 + spec.n_always;
-  for (int i = 0; i < spec.n_diurnal; ++i) {
-    const auto octet = static_cast<std::uint8_t>(diurnal_begin + i);
-    if (DiurnalIsOn(DiurnalParamsOf(spec, octet), when_sec,
-                    MixHash(spec.seed, octet))) {
-      up += 1.0;
-    }
+  if (ever_active == 0) return 0.0;
+  int up = 0;
+  for (int octet = 1; octet <= ever_active; ++octet) {
+    if (AddressIsOn(spec, static_cast<std::uint8_t>(octet), when_sec)) ++up;
   }
-  const int intermittent_begin = diurnal_begin + spec.n_diurnal;
-  for (int i = 0; i < spec.n_intermittent; ++i) {
-    const auto octet = static_cast<std::uint8_t>(intermittent_begin + i);
-    if (IntermittentIsOn(spec.intermittent_duty, spec.intermittent_chunk_sec,
-                         when_sec, MixHash(spec.seed, octet, 0x17u))) {
-      up += 1.0;
-    }
-  }
-  return up * static_cast<double>(spec.response_prob) /
+  return static_cast<double>(up) * static_cast<double>(spec.response_prob) /
          static_cast<double>(ever_active);
 }
 
@@ -108,26 +105,67 @@ std::vector<std::uint8_t> EverActiveOctets(const BlockSpec& spec) {
 }
 
 void SimTransport::AddBlock(const BlockSpec* spec) {
-  blocks_.insert_or_assign(spec->block.Index(), spec);
+  const std::uint32_t block = spec->block.Index();
+  if (blocks_.insert_or_assign(block, spec).second) return;
+  // Replaced a spec: whatever was derived from the old one is stale.
+  cached_block_ = kNoBlock;
+  windows_.fill({});
+}
+
+const DiurnalWindow& SimTransport::WindowOf(const BlockSpec& spec,
+                                            std::uint32_t block,
+                                            std::uint8_t octet,
+                                            std::int64_t day) noexcept {
+  WindowSlot& slot = windows_[octet][static_cast<std::size_t>(day & 1)];
+  if (slot.block != block || slot.day != day) {
+    slot.block = block;
+    slot.day = day;
+    slot.window = DiurnalWindowOfDay(DiurnalParamsOf(spec, octet), day,
+                                     MixHash(spec.seed, octet));
+  }
+  return slot.window;
+}
+
+std::uint32_t SimTransport::NextAttempt(net::Ipv4Addr target) {
+  AttemptSlot& slot = attempts_[target.value() & 0xffu];
+  if (slot.epoch != epoch_) {
+    slot = {epoch_, target.value(), 1};
+    return 0;
+  }
+  if (slot.target == target.value()) return slot.count++;
+  // Another address with this low octet was probed at this instant.
+  return attempt_overflow_[target.value()]++;
 }
 
 net::ProbeStatus SimTransport::Probe(net::Ipv4Addr target,
                                      std::int64_t when_sec) {
   ++probes_sent_;
-  const auto it = blocks_.find(net::Prefix24{target}.Index());
-  if (it == blocks_.end()) return net::ProbeStatus::kUnreachable;
+  const std::uint32_t block = net::Prefix24{target}.Index();
+  if (block != cached_block_) {
+    const auto it = blocks_.find(block);
+    if (it == blocks_.end()) return net::ProbeStatus::kUnreachable;
+    cached_block_ = block;
+    cached_spec_ = it->second;
+  }
   if (when_sec != current_when_) {
     current_when_ = when_sec;
-    attempt_counts_.clear();
+    ++epoch_;
+    attempt_overflow_.clear();
   }
-  const std::uint32_t attempt = attempt_counts_[target.value()]++;
+  const std::uint32_t attempt = NextAttempt(target);
+  const BlockSpec& spec = *cached_spec_;
+  const auto octet = static_cast<std::uint8_t>(target.value() & 0xffu);
+  const bool on = IsOnWith(spec, octet, when_sec, [&](std::int64_t day) {
+    return WindowOf(spec, block, octet, day);
+  });
+  if (!on) return net::ProbeStatus::kTimeout;
   // Keyed stream, not a sequenced one: the draw for (target, when,
-  // attempt) is identical whatever was probed before it.
+  // attempt) is identical whatever was probed before it, so drawing it
+  // only for addresses that are up is exact.
   Rng stream = Rng::ForStream(
       site_seed_, (static_cast<std::uint64_t>(target.value()) << 16) | attempt,
       static_cast<std::uint64_t>(when_sec));
-  const auto octet = target.Octets()[3];
-  return AddressResponds(*it->second, octet, when_sec, stream)
+  return stream.NextBool(static_cast<double>(spec.response_prob))
              ? net::ProbeStatus::kEchoReply
              : net::ProbeStatus::kTimeout;
 }
@@ -142,7 +180,8 @@ bool SimTransport::RestoreState(std::span<const std::uint8_t> in) {
   std::copy_n(in.data(), sizeof(probes_sent_),
               reinterpret_cast<std::uint8_t*>(&probes_sent_));
   current_when_ = -1;
-  attempt_counts_.clear();
+  ++epoch_;
+  attempt_overflow_.clear();
   return true;
 }
 

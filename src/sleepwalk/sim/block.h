@@ -13,6 +13,7 @@
 #ifndef SLEEPWALK_SIM_BLOCK_H_
 #define SLEEPWALK_SIM_BLOCK_H_
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -91,11 +92,29 @@ double DiurnalStartOf(const BlockSpec& spec, std::uint8_t octet) noexcept;
 /// different subsets of blocks — the property the parallel executor's
 /// N-thread == 1-thread byte-identity rests on. The only mutable state
 /// is the probes_sent accounting; checkpoints persist just that.
+///
+/// Everything else the transport holds is derived cache, rebuilt on
+/// demand and never saved, so the SaveState format is unchanged by it
+/// (DESIGN.md §9.2):
+///   - the last resolved block, so a driver probing one block per
+///     round does one map lookup per block switch, not per probe;
+///   - a memo of diurnal windows, one slot per (octet, day parity)
+///     stamped with (block index, day): DiurnalWindowOfDay is pure, so
+///     a slot holds exactly what recomputing it would return, and an
+///     address costs about one window draw per day instead of two per
+///     probe;
+///   - per-instant attempt counters in a 256-entry table keyed by the
+///     low octet and stamped with an epoch that every new instant and
+///     every RestoreState bumps, with an exact overflow map for two
+///     addresses sharing an octet at one instant.
+/// A registered spec must therefore not change while it is registered;
+/// re-registering its block with AddBlock drops the caches.
 class SimTransport final : public net::StatefulTransport {
  public:
   explicit SimTransport(std::uint64_t site_seed) : site_seed_(site_seed) {}
 
-  /// Registers a block. The spec must outlive the transport.
+  /// Registers a block, replacing any spec registered for it before.
+  /// The spec must outlive the transport.
   void AddBlock(const BlockSpec* spec);
 
   net::ProbeStatus Probe(net::Ipv4Addr target, std::int64_t when_sec) override;
@@ -106,17 +125,45 @@ class SimTransport final : public net::StatefulTransport {
   std::uint64_t probes_sent() const noexcept { return probes_sent_; }
 
  private:
+  // No real block has this index (indices are 24-bit).
+  static constexpr std::uint32_t kNoBlock = 0xffffffffu;
+
+  struct WindowSlot {
+    std::uint32_t block = kNoBlock;
+    std::int64_t day = 0;
+    DiurnalWindow window;
+  };
+  struct AttemptSlot {
+    std::uint64_t epoch = 0;
+    std::uint32_t target = 0;
+    std::uint32_t count = 0;
+  };
+
+  // The memoized DiurnalWindowOfDay of `octet` (a diurnal address of
+  // `spec`, registered as `block`) for `day`.
+  const DiurnalWindow& WindowOf(const BlockSpec& spec, std::uint32_t block,
+                                std::uint8_t octet, std::int64_t day) noexcept;
+  // Attempt index of this probe of `target` at the current instant.
+  std::uint32_t NextAttempt(net::Ipv4Addr target);
+
   std::unordered_map<std::uint32_t, const BlockSpec*> blocks_;
   std::uint64_t site_seed_;
   std::uint64_t probes_sent_ = 0;
 
+  std::uint32_t cached_block_ = kNoBlock;
+  const BlockSpec* cached_spec_ = nullptr;
+  std::array<std::array<WindowSlot, 2>, net::kBlockSize> windows_{};
+
   // Per-instant attempt transients (same idiom as FaultyTransport):
-  // reset whenever the probed instant changes, so they are derived
-  // cache, not state a checkpoint must carry — a campaign resumed at a
-  // round boundary starts the instant with fresh counters exactly as an
-  // uninterrupted run did.
+  // reset whenever the probed instant changes, so a campaign resumed at
+  // a round boundary starts the instant with fresh counters exactly as
+  // an uninterrupted run did. The stamp is an epoch, not the instant:
+  // instants may recur out of order (t1, t2, t1), and the second t1
+  // restarts its counts.
   std::int64_t current_when_ = -1;
-  std::unordered_map<std::uint32_t, std::uint32_t> attempt_counts_;
+  std::uint64_t epoch_ = 1;
+  std::array<AttemptSlot, net::kBlockSize> attempts_{};
+  std::unordered_map<std::uint32_t, std::uint32_t> attempt_overflow_;
 };
 
 }  // namespace sleepwalk::sim
