@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the plain build + full test suite, then the fault
-# subsystem and the simulated world again under AddressSanitizer +
-# UndefinedBehaviorSanitizer.
+# subsystem, the simulated world, and the storage and snapshot suites
+# again under AddressSanitizer + UndefinedBehaviorSanitizer.
 #
 # The sanitizer pass exists because the resilience paths are exactly the
 # ones that juggle raw state buffers (checkpoint serialization, transport
@@ -126,17 +126,24 @@ if [[ "${1:-}" == "--skip-sanitize" ]]; then
   exit 0
 fi
 
-echo "== tier-1: ASan+UBSan build of the fault/resilience and sim tests =="
+echo "== tier-1: ASan+UBSan build of the fault/resilience, sim and storage tests =="
 cmake -B build-asan -S . \
   -DSLEEPWALK_SANITIZE="address;undefined" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "${jobs}" --target faults_test integration_test \
-  crash_sweep_test sim_test
+  crash_sweep_test sim_test storage_test core_test crash_recovery_test
 # sim_test rides along because SimTransport indexes fixed per-octet
 # tables by the low address octet and by `day & 1`, negative days
 # included; its suites are anchored so no other binary's test matches.
 sim_suites='HashUniform|HashGaussian|DiurnalIsOn|IntermittentIsOn|BlockSpec|AddressIsOn|TrueAvailability|Outage|AddressResponds|DiurnalStartOf|SimTransport|Survey|SimWorld|WorldNames|TransportGolden|TransportMemo'
+# The storage suites and the snapshot/dataset suites ride along because
+# MemEnv files are buffers shared with every region mapped over them,
+# snapshots are gathered from borrowed arena spans, and the v3 reader
+# turns directory fields into typed spans: lifetime and overflow bugs
+# there pass assertions and only show under the sanitizers.
+storage_suites='Failpoint|FailpointParse|MemEnv|RealEnv|DirName|AtomicWrite|AppendParts|FaultyEnv|Columnar|EveryStep/AtomicWriteFailure|EveryStack/MemEnvMap|EveryAction/AtomicWritePartsFailure'
+snapshot_suites='BlockStore|StoreCampaign|CheckpointColumnar|DatasetColumnar|SnapshotGolden'
 ctest --test-dir build-asan --output-on-failure -j "${jobs}" --timeout 600 \
-  -R "FaultPlan|GilbertElliott|FaultyTransport|Supervisor|ResilienceReport|Determinism|RestartArtifact|ObsInertness|ObsReconciliation|CrashSweep|^(${sim_suites})\\."
+  -R "FaultPlan|GilbertElliott|FaultyTransport|Supervisor|ResilienceReport|Determinism|RestartArtifact|ObsInertness|ObsReconciliation|CrashSweep|^(${sim_suites}|${storage_suites}|${snapshot_suites})\\."
 
 echo "== tier-1: all green =="

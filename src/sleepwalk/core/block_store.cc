@@ -1,10 +1,10 @@
 #include "sleepwalk/core/block_store.h"
 
+#include <cstdlib>
 #include <cstring>
 #include <new>
 
 #include "sleepwalk/net/checksum.h"
-#include "sleepwalk/storage/columnar.h"
 #include "sleepwalk/util/rng.h"
 
 namespace sleepwalk::core {
@@ -53,9 +53,30 @@ storage::Error SnapshotError(const std::string& path, std::string detail) {
 
 }  // namespace
 
+void BlockStore::ArenaDelete::operator()(std::uint8_t* p) const noexcept {
+  std::free(p - shift);
+}
+
 void BlockStore::Reset(std::size_t n_blocks,
                        const AvailabilityConfig& config,
                        std::int32_t series_capacity) {
+  Allocate(n_blocks, config, series_capacity);
+
+  // Estimator columns start from the AvailabilityState defaults, not
+  // all-zero: t EWMAs at 1.0, deviation at the configured prior.
+  double* t_short = Column<double>(t_short_off_);
+  double* t_long = Column<double>(t_long_off_);
+  double* deviation = Column<double>(deviation_off_);
+  for (std::size_t i = 0; i < n_; ++i) {
+    t_short[i] = 1.0;
+    t_long[i] = 1.0;
+    deviation[i] = config_.initial_deviation;
+  }
+}
+
+void BlockStore::Allocate(std::size_t n_blocks,
+                          const AvailabilityConfig& config,
+                          std::int32_t series_capacity) {
   n_ = n_blocks;
   config_ = config;
   series_capacity_ = series_capacity > 0 ? series_capacity : 0;
@@ -93,21 +114,17 @@ void BlockStore::Reset(std::size_t n_blocks,
   series_len_off_ = carve_block(sizeof(std::int32_t));
   series_head_off_ = carve_block(sizeof(std::int32_t));
 
-  const std::size_t bytes = AlignUp(cursor);
-  arena_.reset(static_cast<std::uint8_t*>(
-      ::operator new(bytes == 0 ? 64 : bytes, std::align_val_t{64})));
-  std::memset(arena_.get(), 0, bytes == 0 ? 64 : bytes);
-
-  // Estimator columns start from the AvailabilityState defaults, not
-  // all-zero: t EWMAs at 1.0, deviation at the configured prior.
-  double* t_short = Column<double>(t_short_off_);
-  double* t_long = Column<double>(t_long_off_);
-  double* deviation = Column<double>(deviation_off_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    t_short[i] = 1.0;
-    t_long[i] = 1.0;
-    deviation[i] = config_.initial_deviation;
-  }
+  // calloc, not new + memset: a large arena is a fresh mapping the
+  // kernel zeroes page by page on first touch, so zeroing it here would
+  // fault in and write every page once before the columns write it
+  // again. 64 spare bytes buy the cache-line alignment.
+  const std::size_t bytes = AlignUp(cursor) + 64;
+  arena_.reset();
+  void* raw = std::calloc(bytes, 1);
+  if (raw == nullptr) throw std::bad_alloc();
+  const auto address = reinterpret_cast<std::uintptr_t>(raw);
+  const std::size_t shift = AlignUp(address) - address;
+  arena_ = {static_cast<std::uint8_t*>(raw) + shift, ArenaDelete{shift}};
 }
 
 void BlockStore::SeedBlock(std::size_t i, std::uint32_t prefix_index,
@@ -401,17 +418,17 @@ std::uint64_t BlockStore::Digest() const noexcept {
   return hash;
 }
 
-std::vector<std::uint8_t> BlockStore::EncodeSnapshot(
+storage::ColumnarWriter BlockStore::SnapshotWriter(
     std::uint64_t fingerprint, std::uint64_t rounds_done,
     std::uint64_t checkpoints_written) const {
   storage::ColumnarWriter writer(kStoreMagic, kStoreSnapshotKind,
                                  fingerprint, checkpoints_written);
-  // Three META words since the series columns landed; PR 9 snapshots
-  // carry two (DecodeSnapshot accepts both).
+  // Three META words since the series columns landed; estimator-only
+  // snapshots from before carry two (DecodeSnapshot accepts both).
   const std::uint64_t meta[3] = {
       rounds_done, checkpoints_written,
       static_cast<std::uint64_t>(series_capacity_)};
-  writer.AddTypedBorrowed<std::uint64_t>(kColMeta, meta);
+  writer.AddTyped<std::uint64_t>(kColMeta, meta);
   writer.AddTypedBorrowed(kColPrefix, prefix_index());
   writer.AddTypedBorrowed(kColPShort, p_short());
   writer.AddTypedBorrowed(kColTShort, t_short());
@@ -435,7 +452,21 @@ std::vector<std::uint8_t> BlockStore::EncodeSnapshot(
     writer.AddTypedBorrowed(kColSeriesLen, series_len());
     writer.AddTypedBorrowed(kColSeriesHead, series_head());
   }
-  return writer.Finish();
+  return writer;
+}
+
+storage::Error BlockStore::WriteSnapshot(
+    storage::Env& env, const std::string& path, std::uint64_t fingerprint,
+    std::uint64_t rounds_done, std::uint64_t checkpoints_written) const {
+  return SnapshotWriter(fingerprint, rounds_done, checkpoints_written)
+      .Write(env, path);
+}
+
+std::vector<std::uint8_t> BlockStore::EncodeSnapshot(
+    std::uint64_t fingerprint, std::uint64_t rounds_done,
+    std::uint64_t checkpoints_written) const {
+  return SnapshotWriter(fingerprint, rounds_done, checkpoints_written)
+      .Finish();
 }
 
 storage::Error BlockStore::DecodeSnapshot(
@@ -516,7 +547,7 @@ storage::Error BlockStore::DecodeSnapshot(
     }
   }
 
-  Reset(rows, config_, capacity);
+  Allocate(rows, config_, capacity);
   const auto adopt = [this](auto offset, const auto& span) {
     using Element = typename std::remove_cvref_t<decltype(span)>::element_type;
     std::memcpy(Column<std::remove_const_t<Element>>(offset), span.data(),

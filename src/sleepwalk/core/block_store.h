@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "sleepwalk/core/availability.h"
+#include "sleepwalk/storage/columnar.h"
 #include "sleepwalk/storage/file.h"
 #include "sleepwalk/ts/series.h"
 
@@ -90,7 +91,9 @@ class BlockStore {
   /// (estimator columns get the AvailabilityState defaults: t = 1.0,
   /// deviation = config.initial_deviation). `series_capacity` samples of
   /// per-block A-hat_s ring-buffer series are carved per block (0 keeps
-  /// the store estimator-only, PR 9 behaviour).
+  /// the store estimator-only). The arena comes from calloc, so pages
+  /// the kernel hands out already zeroed are not written until a column
+  /// first uses them.
   void Reset(std::size_t n_blocks, const AvailabilityConfig& config = {},
              std::int32_t series_capacity = 0);
 
@@ -189,19 +192,29 @@ class BlockStore {
   /// probe the scale bench compares across worker counts and resumes.
   std::uint64_t Digest() const noexcept;
 
-  /// Serializes the store as an SLCK v3 container (kind =
-  /// kStoreSnapshotKind). `rounds_done` and `checkpoints_written` ride
-  /// in the META column so a resumed campaign continues both counters
-  /// exactly (generation = checkpoints_written, mirroring v2).
+  /// Atomically writes the store to `path` as an SLCK v3 container
+  /// (kind = kStoreSnapshotKind), gathered straight from the arena
+  /// columns: each snapshot byte is copied once, into the file.
+  /// `rounds_done` and `checkpoints_written` ride in the META column so
+  /// a resumed campaign continues both counters exactly (generation =
+  /// checkpoints_written, mirroring v2).
+  storage::Error WriteSnapshot(storage::Env& env, const std::string& path,
+                               std::uint64_t fingerprint,
+                               std::uint64_t rounds_done,
+                               std::uint64_t checkpoints_written) const;
+
+  /// The bytes WriteSnapshot writes, as one in-memory image (tests, and
+  /// callers that move the buffer themselves, like sleepbench's traced
+  /// campaign).
   std::vector<std::uint8_t> EncodeSnapshot(
       std::uint64_t fingerprint, std::uint64_t rounds_done,
       std::uint64_t checkpoints_written) const;
 
   /// Parses + validates a v3 snapshot (typically over a
   /// storage::MappedRegion) and adopts its columns — one memcpy per
-  /// column, no per-field decode. On failure the store is left Reset to
-  /// the file's row count or untouched on header-level refusal; the
-  /// Error names the violated invariant.
+  /// column into a fresh zeroed arena, no per-field decode. On failure
+  /// the store is left Reset to the file's row count or untouched on
+  /// header-level refusal; the Error names the violated invariant.
   storage::Error DecodeSnapshot(std::span<const std::uint8_t> file,
                                 std::uint64_t expect_fingerprint,
                                 std::uint64_t& rounds_done,
@@ -209,6 +222,17 @@ class BlockStore {
                                 const std::string& path = "<memory>");
 
  private:
+  /// Carves the column layout for `n_blocks` and takes a zeroed arena
+  /// for it; Reset adds the estimator defaults, DecodeSnapshot
+  /// overwrites every column instead.
+  void Allocate(std::size_t n_blocks, const AvailabilityConfig& config,
+                std::int32_t series_capacity);
+
+  /// The snapshot as columns borrowed from the arena (META is owned).
+  storage::ColumnarWriter SnapshotWriter(
+      std::uint64_t fingerprint, std::uint64_t rounds_done,
+      std::uint64_t checkpoints_written) const;
+
   template <typename T>
   T* Column(std::size_t offset) noexcept {
     return reinterpret_cast<T*>(arena_.get() + offset);
@@ -218,10 +242,13 @@ class BlockStore {
     return reinterpret_cast<const T*>(arena_.get() + offset);
   }
 
+  /// Frees a calloc'd block whose aligned start sits `shift` bytes in.
   struct ArenaDelete {
-    void operator()(std::uint8_t* p) const noexcept {
-      ::operator delete(p, std::align_val_t{64});
-    }
+    constexpr ArenaDelete() noexcept : shift(0) {}
+    explicit constexpr ArenaDelete(std::size_t bytes_in) noexcept
+        : shift(bytes_in) {}
+    void operator()(std::uint8_t* p) const noexcept;
+    std::size_t shift;
   };
 
   std::size_t n_ = 0;

@@ -32,11 +32,13 @@ storage::Error DatasetError(const std::string& path, std::string detail) {
   return error;
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> EncodeDatasetColumnar(
-    std::span<const BlockAnalysis> analyses, std::int64_t round_seconds,
-    std::int64_t epoch_sec) {
+/// Flattens `analyses` into the dataset's columns and hands `use` a
+/// writer borrowing them; returns what `use` returns (an image or a
+/// write's Error) while the columns are still alive.
+template <typename Use>
+auto WithDatasetWriter(std::span<const BlockAnalysis> analyses,
+                       std::int64_t round_seconds, std::int64_t epoch_sec,
+                       Use&& use) {
   const std::size_t n = analyses.size();
   std::vector<std::uint32_t> prefix(n);
   std::vector<std::int32_t> ever_active(n);
@@ -78,7 +80,17 @@ std::vector<std::uint8_t> EncodeDatasetColumnar(
   writer.AddTypedBorrowed<std::uint32_t>(kColCount, count);
   writer.AddTypedBorrowed<std::uint64_t>(kColOffset, offset);
   writer.AddTypedBorrowed<float>(kColValues, values);
-  return writer.Finish();
+  return use(writer);
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> EncodeDatasetColumnar(
+    std::span<const BlockAnalysis> analyses, std::int64_t round_seconds,
+    std::int64_t epoch_sec) {
+  return WithDatasetWriter(
+      analyses, round_seconds, epoch_sec,
+      [](const storage::ColumnarWriter& writer) { return writer.Finish(); });
 }
 
 storage::Error ParseDatasetColumnar(std::span<const std::uint8_t> file,
@@ -139,8 +151,10 @@ storage::Error WriteDatasetColumnar(storage::Env& env, const std::string& path,
                                     std::span<const BlockAnalysis> analyses,
                                     std::int64_t round_seconds,
                                     std::int64_t epoch_sec) {
-  return storage::AtomicWrite(
-      env, path, EncodeDatasetColumnar(analyses, round_seconds, epoch_sec));
+  return WithDatasetWriter(analyses, round_seconds, epoch_sec,
+                           [&](const storage::ColumnarWriter& writer) {
+                             return writer.Write(env, path);
+                           });
 }
 
 storage::Error MapDatasetColumnar(storage::Env& env, const std::string& path,

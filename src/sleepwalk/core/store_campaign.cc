@@ -149,10 +149,9 @@ StoreCampaignOutcome RunStoreCampaign(BlockStore& store,
 
     if (checkpointing) {
       ++checkpoints_written;  // write-ahead self-count, like SLCK v2
-      const auto image =
-          store.EncodeSnapshot(fingerprint, rounds_done, checkpoints_written);
-      if (auto error =
-              storage::AtomicWrite(env, config.checkpoint_path, image);
+      if (auto error = store.WriteSnapshot(env, config.checkpoint_path,
+                                           fingerprint, rounds_done,
+                                           checkpoints_written);
           !error.ok()) {
         --checkpoints_written;
         if (outcome.error.empty()) outcome.error = error.ToString();

@@ -65,7 +65,7 @@ void ColumnarWriter::AddBorrowed(std::uint32_t id, std::uint32_t elem_width,
   columns_.push_back(std::move(pending));
 }
 
-std::vector<std::uint8_t> ColumnarWriter::Finish() const {
+ColumnarParts ColumnarWriter::Layout() const {
   // Lay out payload offsets first so the directory can be written in
   // one pass: data region starts at the next page boundary after the
   // directory, each payload cache-line aligned.
@@ -81,7 +81,7 @@ std::vector<std::uint8_t> ColumnarWriter::Finish() const {
   }
 
   ByteWriter writer;
-  writer.Reserve(cursor);
+  writer.Reserve(kHeaderBytes + dir_bytes);
   writer.PutBytes({magic_, sizeof(magic_)});
   writer.Put<std::uint32_t>(kColumnarVersion);
   writer.Put<std::uint64_t>(fingerprint_);
@@ -104,20 +104,43 @@ std::vector<std::uint8_t> ColumnarWriter::Finish() const {
   writer.Put<std::uint32_t>(net::Crc32cOf(
       {writer.bytes().data() + dir_start, writer.size() - dir_start}));
 
-  // One pass, no full-image zero-fill: resize() only bridges the
-  // padding gaps (page-align after the directory, cache-line gaps
-  // between payloads) with zeros; each payload is memcpy'd exactly
-  // once. At paper scale the old zero-then-overwrite cost a second
-  // full pass over a multi-megabyte image every checkpoint stride.
-  std::vector<std::uint8_t> image = writer.Take();
-  image.reserve(cursor);
+  // Every gap is shorter than a page: the page-align after the
+  // directory, and the cache-line gaps between payloads.
+  alignas(kColumnarAlignBytes) static constexpr std::uint8_t
+      kZeroPage[kColumnarPageBytes] = {};
+  ColumnarParts out;
+  out.head_ = writer.Take();
+  out.parts_.reserve(2 * columns_.size() + 2);
+  out.parts_.emplace_back(out.head_);
+  std::size_t end = out.head_.size();
+  const auto pad_to = [&](std::size_t offset) {
+    if (offset > end) out.parts_.emplace_back(kZeroPage, offset - end);
+    end = offset;
+  };
   for (std::size_t i = 0; i < columns_.size(); ++i) {
-    image.resize(offsets[i], 0);
-    image.insert(image.end(), columns_[i].payload.begin(),
-                 columns_[i].payload.end());
+    pad_to(offsets[i]);
+    if (!columns_[i].payload.empty()) {
+      out.parts_.push_back(columns_[i].payload);
+    }
+    end += columns_[i].payload.size();
   }
-  image.resize(cursor, 0);  // zero-columns case: pad to the data start
+  pad_to(cursor);  // zero-columns case: pad to the data start
+  out.size_ = cursor;
+  return out;
+}
+
+std::vector<std::uint8_t> ColumnarWriter::Finish() const {
+  const ColumnarParts layout = Layout();
+  std::vector<std::uint8_t> image;
+  image.reserve(layout.size());
+  for (const auto part : layout.parts()) {
+    image.insert(image.end(), part.begin(), part.end());
+  }
   return image;
+}
+
+Error ColumnarWriter::Write(Env& env, const std::string& path) const {
+  return AtomicWrite(env, path, Layout().parts());
 }
 
 Error ColumnarReader::Parse(std::span<const std::uint8_t> file,
@@ -190,7 +213,11 @@ Error ColumnarReader::Parse(std::span<const std::uint8_t> file,
     entries.Get(byte_len);
     entries.Get(crc);
     const std::string label = "column " + std::to_string(id);
-    if (elem_width == 0 || byte_len != rows * elem_width) {
+    // Divide, never multiply: rows * elem_width wraps in u64, and a
+    // forged row count could wrap into agreement with a short byte_len
+    // and then type a span far past the file.
+    if (elem_width == 0 || byte_len % elem_width != 0 ||
+        rows != byte_len / elem_width) {
       columns_.clear();
       return Corrupt(path, label + ": rows * width != byte length");
     }

@@ -28,8 +28,10 @@
 // The reader validates *everything* before exposing a byte: magic,
 // version (a v2 file is refused with a distinct remediation message,
 // not parsed as garbage), header CRC, directory CRC, and per column
-// that byte_len == rows * elem_width, the offset is aligned and inside
-// the file, and the payload CRC matches. Hostile inputs fail closed
+// that byte_len is a whole number of elements and rows == byte_len /
+// elem_width (division, so a forged row count cannot wrap a product
+// into agreement), the offset is aligned and inside the file, and the
+// payload CRC matches. Hostile inputs fail closed
 // with an Error naming the first violated invariant.
 #ifndef SLEEPWALK_STORAGE_COLUMNAR_H_
 #define SLEEPWALK_STORAGE_COLUMNAR_H_
@@ -37,6 +39,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <string_view>
 #include <type_traits>
 #include <vector>
@@ -53,8 +56,34 @@ inline constexpr std::size_t kColumnarPageBytes = 4096;
 /// alignment contract typed zero-copy views rely on.
 inline constexpr std::size_t kColumnarAlignBytes = 64;
 
-/// Assembles a v3 container image in memory; storage::AtomicWrite (or a
-/// CheckpointStore) moves the finished buffer to disk. Column ids are
+/// A v3 container as the byte spans that make up the file, in order: the
+/// header and directory (owned here), zero padding (spans of a static
+/// zero page), and the column payloads (borrowed from the writer, and
+/// through it from whatever AddBorrowed spans it holds). Gathered
+/// straight into a file by AtomicWrite, so no byte of a payload is
+/// copied on the way to disk. Not copyable: the parts point into it.
+class ColumnarParts {
+ public:
+  ColumnarParts() = default;
+  ColumnarParts(ColumnarParts&&) = default;
+  ColumnarParts& operator=(ColumnarParts&&) = default;
+  ColumnarParts(const ColumnarParts&) = delete;
+  ColumnarParts& operator=(const ColumnarParts&) = delete;
+
+  ByteParts parts() const noexcept { return parts_; }
+  /// File size: the sum of the parts.
+  std::size_t size() const noexcept { return size_; }
+
+ private:
+  friend class ColumnarWriter;
+  std::vector<std::uint8_t> head_;  ///< header + CRC'd directory
+  std::vector<std::span<const std::uint8_t>> parts_;
+  std::size_t size_ = 0;
+};
+
+/// Lays out a v3 container. Layout() hands the file out as parts for a
+/// gathered write (Write); Finish() concatenates the same parts into one
+/// image for callers that need the bytes in memory. Column ids are
 /// caller-defined and must be unique; insertion order is preserved.
 class ColumnarWriter {
  public:
@@ -68,9 +97,10 @@ class ColumnarWriter {
            std::span<const std::uint8_t> bytes);
 
   /// Like Add, but borrows `bytes` instead of copying: the caller
-  /// guarantees the span outlives every Finish(). The paper-scale
-  /// encode path — megabytes of arena columns per snapshot — uses this
-  /// to skip a full defensive pass over the payload.
+  /// guarantees the span outlives every Layout(), Finish() and Write().
+  /// The paper-scale encode path — megabytes of arena columns per
+  /// snapshot — uses this to skip a full defensive pass over the
+  /// payload.
   void AddBorrowed(std::uint32_t id, std::uint32_t elem_width,
                    std::span<const std::uint8_t> bytes);
 
@@ -95,10 +125,18 @@ class ColumnarWriter {
                  values.size_bytes()});
   }
 
-  /// Assembles the final file image: header, CRC'd directory, padded
-  /// page-aligned payloads. The writer may be reused after (columns
-  /// stay; call again after more Add()s for a superset image).
+  /// THE layout: header, CRC'd directory, padded page-aligned payloads,
+  /// as parts. The parts borrow the writer's columns, so the writer
+  /// must outlive them. The writer may be reused after (columns stay;
+  /// call again after more Add()s for a superset file).
+  ColumnarParts Layout() const;
+
+  /// The parts of Layout() concatenated into one file image.
   std::vector<std::uint8_t> Finish() const;
+
+  /// AtomicWrite of Layout()'s parts: the file Finish() would build,
+  /// gathered from the columns without an intermediate image.
+  Error Write(Env& env, const std::string& path) const;
 
  private:
   struct Pending {

@@ -1,7 +1,10 @@
 #include "sleepwalk/storage/faulty_env.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <span>
 #include <utility>
+#include <vector>
 
 namespace sleepwalk::storage {
 
@@ -47,7 +50,10 @@ class FaultyFile final : public WritableFile {
         failpoints_(failpoints),
         path_(std::move(path)) {}
 
-  Error Append(std::span<const std::uint8_t> data) override {
+  /// One `storage.append` hit however many parts: a gathered snapshot
+  /// write is one operation to the crash sweep, and a tear cuts the
+  /// concatenation.
+  Error AppendParts(ByteParts parts) override {
     switch (failpoints_.Hit("storage.append")) {
       case FailAction::kNone:
         break;
@@ -56,20 +62,20 @@ class FaultyFile final : public WritableFile {
       case FailAction::kEnospc:
         return Injected("append", path_, ENOSPC);
       case FailAction::kShortWrite: {
-        const auto half = data.size() / 2;
-        base_->Append(data.first(half));
+        const std::size_t total = TotalBytes(parts);
+        AppendFirstHalf(parts);
         Error error = Injected("append", path_, ENOSPC);
-        error.detail = "short write (" + std::to_string(half) + "/" +
-                       std::to_string(data.size()) + " bytes)";
+        error.detail = "short write (" + std::to_string(total / 2) + "/" +
+                       std::to_string(total) + " bytes)";
         return error;
       }
       case FailAction::kCrash:
         throw CrashInjected{"storage.append"};
       case FailAction::kCrashTorn:
-        base_->Append(data.first(data.size() / 2));
+        AppendFirstHalf(parts);
         throw CrashInjected{"storage.append"};
     }
-    return base_->Append(data);
+    return base_->AppendParts(parts);
   }
 
   Error Sync() override {
@@ -89,6 +95,19 @@ class FaultyFile final : public WritableFile {
   }
 
  private:
+  /// Writes the first total / 2 bytes of the concatenated parts (the
+  /// torn page); the base's own result is ignored, the injected one wins.
+  void AppendFirstHalf(ByteParts parts) {
+    std::vector<std::span<const std::uint8_t>> head;
+    std::size_t left = TotalBytes(parts) / 2;
+    for (const auto part : parts) {
+      if (left == 0) break;
+      head.push_back(part.first(std::min(left, part.size())));
+      left -= head.back().size();
+    }
+    base_->AppendParts(head);
+  }
+
   std::unique_ptr<WritableFile> base_;
   util::FailpointSet& failpoints_;
   std::string path_;

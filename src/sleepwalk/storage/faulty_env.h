@@ -20,6 +20,9 @@
 //                 disk state is exactly "process died between ops";
 //   torn          Append writes the first half, then throws — a torn
 //                 page; for non-append operations same as crash.
+//
+// A gathered AppendParts is one `storage.append` operation, and its
+// "first half" is the first half of the concatenated parts.
 #ifndef SLEEPWALK_STORAGE_FAULTY_ENV_H_
 #define SLEEPWALK_STORAGE_FAULTY_ENV_H_
 

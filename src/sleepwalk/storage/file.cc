@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <map>
 #include <utility>
@@ -10,6 +11,7 @@
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "sleepwalk/util/sync.h"
@@ -37,17 +39,35 @@ class RealFile final : public WritableFile {
     if (fd_ >= 0) ::close(fd_);
   }
 
-  Error Append(std::span<const std::uint8_t> data) override {
+  /// writev in batches of at most IOV_MAX parts, resuming mid-part
+  /// after a short write.
+  Error AppendParts(ByteParts parts) override {
     if (fd_ < 0) return Fail("append", path_, EBADF, "file closed");
-    std::size_t done = 0;
-    while (done < data.size()) {
-      const ssize_t n =
-          ::write(fd_, data.data() + done, data.size() - done);
+    std::vector<iovec> iov;
+    iov.reserve(parts.size());
+    for (const auto part : parts) {
+      if (part.empty()) continue;
+      iov.push_back({const_cast<std::uint8_t*>(part.data()), part.size()});
+    }
+    std::size_t next = 0;
+    while (next < iov.size()) {
+      const auto count =
+          static_cast<int>(std::min<std::size_t>(iov.size() - next, IOV_MAX));
+      const ssize_t n = ::writev(fd_, iov.data() + next, count);
       if (n < 0) {
         if (errno == EINTR) continue;
         return Fail("append", path_, errno);
       }
-      done += static_cast<std::size_t>(n);
+      auto written = static_cast<std::size_t>(n);
+      while (written > 0 && written >= iov[next].iov_len) {
+        written -= iov[next].iov_len;
+        ++next;
+      }
+      if (written > 0) {
+        iov[next].iov_base = static_cast<std::uint8_t*>(iov[next].iov_base) +
+                             written;
+        iov[next].iov_len -= written;
+      }
     }
     return {};
   }
@@ -204,7 +224,7 @@ MappedRegion& MappedRegion::operator=(MappedRegion&& other) noexcept {
   other.size_ = 0;
   other.map_base_ = nullptr;
   other.map_length_ = 0;
-  other.owned_.clear();
+  other.owned_.reset();
   return *this;
 }
 
@@ -212,7 +232,7 @@ void MappedRegion::Reset() noexcept {
   if (map_base_ != nullptr) ::munmap(map_base_, map_length_);
   map_base_ = nullptr;
   map_length_ = 0;
-  owned_.clear();
+  owned_.reset();
   data_ = nullptr;
   size_ = 0;
 }
@@ -225,11 +245,17 @@ void MappedRegion::AdoptMapping(void* base, std::size_t length) noexcept {
   size_ = length;
 }
 
-void MappedRegion::AdoptCopy(std::vector<std::uint8_t> bytes) noexcept {
+void MappedRegion::AdoptShared(SharedBytes bytes) noexcept {
   Reset();
   owned_ = std::move(bytes);
-  data_ = owned_.data();
-  size_ = owned_.size();
+  if (owned_ == nullptr) return;
+  data_ = owned_->data();
+  size_ = owned_->size();
+}
+
+void MappedRegion::AdoptCopy(std::vector<std::uint8_t> bytes) {
+  AdoptShared(
+      std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes)));
 }
 
 Error Env::Map(const std::string& path, MappedRegion& out) {
@@ -259,61 +285,72 @@ Env& RealEnvInstance() {
 // ---------------------------------------------------------------------------
 // MemEnv
 
+namespace {
+
+/// A MemEnv file. `bytes` is shared with every region mapped over the
+/// file, so nothing may change it in place while another owner holds it;
+/// the pointer itself is guarded by MemEnv::Impl::mutex.
+struct MemInode {
+  std::shared_ptr<std::vector<std::uint8_t>> bytes =
+      std::make_shared<std::vector<std::uint8_t>>();
+};
+
+}  // namespace
+
 struct MemEnv::Impl {
   util::Mutex mutex;
-  std::map<std::string, std::vector<std::uint8_t>> files
+  std::map<std::string, std::shared_ptr<MemInode>> files
       SLEEPWALK_GUARDED_BY(mutex);
 };
 
 namespace {
 
-/// Buffers writes, publishing into the Impl map on Close (Sync is a
-/// no-op publish too, so a crash between Sync and Close loses nothing —
-/// mirroring the durability point RealFile::Sync establishes).
+/// Writes straight into its inode, so every append is published the
+/// moment it returns and Sync/Close have nothing left to move — the
+/// durability point RealFile::Sync establishes holds trivially.
 class MemFile final : public WritableFile {
  public:
-  MemFile(MemEnv::Impl* impl, std::string path)
-      : impl_(impl), path_(std::move(path)) {
-    Publish();  // Create truncates immediately, like O_TRUNC
-  }
+  MemFile(MemEnv::Impl* impl, std::shared_ptr<MemInode> inode,
+          std::string path)
+      : impl_(impl), inode_(std::move(inode)), path_(std::move(path)) {}
 
-  Error Append(std::span<const std::uint8_t> data) override {
+  Error AppendParts(ByteParts parts) override {
     if (closed_) return Fail("append", path_, EBADF, "file closed");
-    bytes_.insert(bytes_.end(), data.begin(), data.end());
-    dirty_ = true;
-    Publish();
+    if (TotalBytes(parts) == 0) return {};
+    util::MutexLock lock{impl_->mutex};
+    auto& bytes = inode_->bytes;
+    const std::size_t need = bytes->size() + TotalBytes(parts);
+    // Regions copy the shared_ptr only under the mutex, so a count of
+    // one here cannot grow before the append below finishes; a stale
+    // higher count only costs an unneeded copy.
+    if (bytes.use_count() > 1) {
+      auto copy = std::make_shared<std::vector<std::uint8_t>>();
+      copy->reserve(need);
+      copy->assign(bytes->begin(), bytes->end());
+      bytes = std::move(copy);
+    } else if (need > bytes->capacity()) {
+      bytes->reserve(std::max(need, bytes->capacity() * 2));
+    }
+    for (const auto part : parts) {
+      bytes->insert(bytes->end(), part.begin(), part.end());
+    }
     return {};
   }
 
   Error Sync() override {
     if (closed_) return Fail("sync", path_, EBADF, "file closed");
-    Publish();
     return {};
   }
 
   Error Close() override {
-    if (closed_) return {};
     closed_ = true;
-    Publish();
     return {};
   }
 
  private:
-  void Publish() {
-    // Re-copying an unchanged buffer on Sync/Close would double or
-    // quadruple the bytes moved per checkpoint at paper scale; the
-    // published state is identical either way, so crash-point semantics
-    // (FaultyEnv kills between ops, never mid-copy) are unaffected.
-    if (!dirty_) return;
-    dirty_ = false;
-    util::MutexLock lock{impl_->mutex};
-    impl_->files[path_] = bytes_;
-  }
-
   MemEnv::Impl* impl_;
+  std::shared_ptr<MemInode> inode_;
   std::string path_;
-  std::vector<std::uint8_t> bytes_;
-  bool dirty_ = true;  // Create truncates: the first Publish must land
   bool closed_ = false;
 };
 
@@ -325,7 +362,12 @@ MemEnv::~MemEnv() = default;
 std::unique_ptr<WritableFile> MemEnv::Create(const std::string& path,
                                              Error& error) {
   error = {};
-  return std::make_unique<MemFile>(impl_.get(), path);
+  auto inode = std::make_shared<MemInode>();
+  {
+    util::MutexLock lock{impl_->mutex};
+    impl_->files[path] = inode;  // truncates immediately, like O_TRUNC
+  }
+  return std::make_unique<MemFile>(impl_.get(), std::move(inode), path);
 }
 
 Error MemEnv::ReadAll(const std::string& path,
@@ -333,7 +375,16 @@ Error MemEnv::ReadAll(const std::string& path,
   util::MutexLock lock{impl_->mutex};
   const auto it = impl_->files.find(path);
   if (it == impl_->files.end()) return Fail("read", path, ENOENT);
-  out = it->second;
+  out = *it->second->bytes;
+  return {};
+}
+
+Error MemEnv::Map(const std::string& path, MappedRegion& out) {
+  out.Reset();
+  util::MutexLock lock{impl_->mutex};
+  const auto it = impl_->files.find(path);
+  if (it == impl_->files.end()) return Fail("map", path, ENOENT);
+  out.AdoptShared(it->second->bytes);
   return {};
 }
 
@@ -353,7 +404,11 @@ Error MemEnv::Link(const std::string& from, const std::string& to) {
   if (impl_->files.count(to) != 0) {
     return Fail("link", from, EEXIST, "to " + to);
   }
-  impl_->files[to] = it->second;
+  // A copy, not a second name for the inode: generation files must not
+  // change if a still-open writer appends to the original.
+  auto inode = std::make_shared<MemInode>();
+  *inode->bytes = *it->second->bytes;
+  impl_->files[to] = std::move(inode);
   return {};
 }
 
@@ -374,7 +429,7 @@ std::vector<std::string> MemEnv::List(const std::string& dir) {
   std::vector<std::string> names;
   const std::string prefix = dir == "." ? "" : dir + "/";
   util::MutexLock lock{impl_->mutex};
-  for (const auto& [path, bytes] : impl_->files) {
+  for (const auto& [path, inode] : impl_->files) {
     if (path.compare(0, prefix.size(), prefix) != 0) continue;
     const std::string rest = path.substr(prefix.size());
     if (rest.empty() || rest.find('/') != std::string::npos) continue;
@@ -392,8 +447,7 @@ std::string DirName(const std::string& path) {
   return path.substr(0, slash);
 }
 
-Error AtomicWrite(Env& env, const std::string& path,
-                  std::span<const std::uint8_t> bytes) {
+Error AtomicWrite(Env& env, const std::string& path, ByteParts parts) {
   const std::string tmp = path + ".tmp";
   Error error;
   auto file = env.Create(tmp, error);
@@ -407,11 +461,16 @@ Error AtomicWrite(Env& env, const std::string& path,
     return failed;
   };
 
-  if (error = file->Append(bytes); !error.ok()) return fail(error);
+  if (error = file->AppendParts(parts); !error.ok()) return fail(error);
   if (error = file->Sync(); !error.ok()) return fail(error);
   if (error = file->Close(); !error.ok()) return fail(error);
   if (error = env.Rename(tmp, path); !error.ok()) return fail(error);
   return env.SyncDir(DirName(path));
+}
+
+Error AtomicWrite(Env& env, const std::string& path,
+                  std::span<const std::uint8_t> bytes) {
+  return AtomicWrite(env, path, ByteParts{&bytes, 1});
 }
 
 }  // namespace sleepwalk::storage

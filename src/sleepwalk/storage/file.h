@@ -10,7 +10,9 @@
 //     interrupted AtomicWrite leaves the previous file intact, never a
 //     half-written one (O_TMPFILE-free, portable to any POSIX fs).
 //   * MemEnv — an in-process filesystem for tests and benches; same
-//     semantics, no disk.
+//     semantics, no disk. Files are shared immutable buffers: Map hands
+//     out the buffer itself (MemEnv's mmap), and an append copies on
+//     write only while a mapped region still holds the buffer.
 //   * FaultyEnv (storage/faulty_env.h) — decorates either with
 //     util/failpoint.h sites, so crash/ENOSPC/short-write behaviour is
 //     provable rather than assumed.
@@ -41,11 +43,26 @@ struct Error {
   std::string ToString() const;
 };
 
+/// An immutable byte buffer several owners can hold at once: a MemEnv
+/// file and every region mapped over it.
+using SharedBytes = std::shared_ptr<const std::vector<std::uint8_t>>;
+
+/// The parts of a file written in one gathered append, in file order.
+using ByteParts = std::span<const std::span<const std::uint8_t>>;
+
+/// Length of the concatenated parts.
+inline std::size_t TotalBytes(ByteParts parts) noexcept {
+  std::size_t total = 0;
+  for (const auto part : parts) total += part.size();
+  return total;
+}
+
 /// A read-only view of a whole file, either zero-copy (mmap, RealEnv)
-/// or an owned heap copy (the portable fallback every other Env uses).
-/// Movable, not copyable; unmaps/frees on destruction. The bytes are
-/// immutable and stay valid for the region's lifetime — columnar
-/// readers (storage/columnar.h) hand out typed spans into them.
+/// or a shared heap buffer (MemEnv's file itself, or the ReadAll copy
+/// of the portable fallback). Movable, not copyable; unmaps/releases on
+/// destruction. The bytes are immutable and stay valid for the region's
+/// lifetime — columnar readers (storage/columnar.h) hand out typed spans
+/// into them.
 class MappedRegion {
  public:
   MappedRegion() = default;
@@ -67,22 +84,32 @@ class MappedRegion {
 
   /// Takes ownership of an existing mmap (munmap'd on Reset).
   void AdoptMapping(void* base, std::size_t length) noexcept;
+  /// Shares a heap buffer (released on Reset; the last owner frees it).
+  void AdoptShared(SharedBytes bytes) noexcept;
   /// Takes ownership of a heap copy (the ReadAll fallback).
-  void AdoptCopy(std::vector<std::uint8_t> bytes) noexcept;
+  void AdoptCopy(std::vector<std::uint8_t> bytes);
 
  private:
   const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
-  void* map_base_ = nullptr;  ///< munmap target; null for copies
+  void* map_base_ = nullptr;  ///< munmap target; null for heap buffers
   std::size_t map_length_ = 0;
-  std::vector<std::uint8_t> owned_;
+  SharedBytes owned_;
 };
 
 /// An open file being written sequentially.
 class WritableFile {
  public:
   virtual ~WritableFile() = default;
-  virtual Error Append(std::span<const std::uint8_t> data) = 0;
+  /// Appends the parts back to back as ONE operation: RealEnv gathers
+  /// them into writev calls, so a multi-megabyte snapshot goes from its
+  /// borrowed column spans to the file without an assembled image. A
+  /// failure may leave any prefix of the concatenation written.
+  virtual Error AppendParts(ByteParts parts) = 0;
+  /// A one-part AppendParts.
+  Error Append(std::span<const std::uint8_t> data) {
+    return AppendParts({&data, 1});
+  }
   /// Flushes buffered bytes to stable storage (fsync for RealEnv).
   virtual Error Sync() = 0;
   /// Closes the descriptor; further calls are invalid. Idempotent.
@@ -115,13 +142,14 @@ class Env {
   virtual std::vector<std::string> List(const std::string& dir) = 0;
 
   /// Maps the whole file read-only into `out`. RealEnv overrides this
-  /// with a true zero-copy mmap; the base implementation (MemEnv and
-  /// any decorator's inner fallback) degrades to ReadAll + an owned
-  /// copy, so every Env satisfies the same contract and callers never
-  /// branch on capability. The region's bytes reflect the file at call
-  /// time; concurrent rewrites of the same *path* are safe because
-  /// AtomicWrite replaces via rename and the old inode stays alive
-  /// under the mapping.
+  /// with a true zero-copy mmap and MemEnv by sharing the file's buffer;
+  /// the base implementation degrades to ReadAll + an owned copy, so
+  /// every Env satisfies the same contract and callers never branch on
+  /// capability. The region's bytes reflect the file at call time and
+  /// never change after: a rewrite of the same *path* by AtomicWrite
+  /// renames a new file over it and the old bytes stay alive under the
+  /// mapping, and MemEnv copies on write when a still-open file appends
+  /// to a buffer a region holds.
   virtual Error Map(const std::string& path, MappedRegion& out);
 };
 
@@ -130,6 +158,13 @@ Env& RealEnvInstance();
 
 /// In-memory Env for tests and benches: full paths as keys, rename and
 /// link with POSIX semantics, SyncDir a no-op. Thread-safe.
+///
+/// A file is an inode holding a shared immutable buffer. An open file
+/// writes to its inode, not its path (a rename or remove while it is
+/// open behaves as on POSIX), and appends in place unless a mapped
+/// region still shares the buffer, in which case it copies once and
+/// leaves the region its old bytes. Map shares the buffer; ReadAll and
+/// Link copy it.
 class MemEnv final : public Env {
  public:
   MemEnv();
@@ -145,6 +180,7 @@ class MemEnv final : public Env {
   bool Exists(const std::string& path) override;
   Error SyncDir(const std::string& dir) override;
   std::vector<std::string> List(const std::string& dir) override;
+  Error Map(const std::string& path, MappedRegion& out) override;
 
   struct Impl;  // public so the file handle implementation can reach it
 
@@ -155,7 +191,7 @@ class MemEnv final : public Env {
 /// Everything up to the last '/', or "." for a bare filename.
 std::string DirName(const std::string& path);
 
-/// Durable atomic replacement of `path` with `bytes`:
+/// Durable atomic replacement of `path` with the concatenated `parts`:
 ///   create path.tmp → append → sync → close → rename → sync(dir).
 /// On ANY failure the temp file is removed and the previous `path`
 /// content is untouched; the returned Error names the failing step and
@@ -163,6 +199,8 @@ std::string DirName(const std::string& path);
 /// writer). A CrashInjected from a faulty env propagates — that is the
 /// simulated power cut, and the temp file deliberately stays behind
 /// exactly as a real crash would leave it.
+Error AtomicWrite(Env& env, const std::string& path, ByteParts parts);
+/// The one-part AtomicWrite.
 Error AtomicWrite(Env& env, const std::string& path,
                   std::span<const std::uint8_t> bytes);
 

@@ -21,11 +21,11 @@ class InstrumentedFile final : public WritableFile {
   InstrumentedFile(std::unique_ptr<WritableFile> inner, InstrumentedEnv& env)
       : inner_(std::move(inner)), env_(env) {}
 
-  Error Append(std::span<const std::uint8_t> data) override {
+  Error AppendParts(ByteParts parts) override {
     if (env_.appends_ != nullptr) env_.appends_->Inc();
-    const Error error = inner_->Append(data);
+    const Error error = inner_->AppendParts(parts);
     if (error.ok() && env_.bytes_written_ != nullptr) {
-      env_.bytes_written_->Inc(static_cast<double>(data.size()));
+      env_.bytes_written_->Inc(static_cast<double>(TotalBytes(parts)));
     }
     env_.NoteError(error);
     return error;

@@ -17,6 +17,7 @@
 #include "sleepwalk/storage/columnar.h"
 #include "sleepwalk/storage/file.h"
 #include "sleepwalk/util/rng.h"
+#include "wrapped_rows_forgery.h"
 
 namespace sleepwalk {
 namespace {
@@ -284,6 +285,26 @@ TEST(BlockStore, SnapshotRefusesWrongFingerprintAndKind) {
   EXPECT_FALSE(wrong_kind.ok());
   EXPECT_NE(wrong_kind.detail.find("kind"), std::string::npos)
       << wrong_kind.ToString();
+}
+
+TEST(BlockStore, SnapshotWithWrappedRowCountColumnIsRefused) {
+  BlockStore store;
+  store.Reset(6, {}, 4);
+  for (std::size_t i = 0; i < 6; ++i) {
+    store.SeedBlock(i, static_cast<std::uint32_t>(i), 0.5);
+  }
+  const auto forged = testing_support::WithWrappedRowsColumn(
+      store.EncodeSnapshot(0xabc, 1, 1), "SLCK");
+  ASSERT_FALSE(forged.empty());
+  BlockStore restored;
+  std::uint64_t rounds_done = 0;
+  std::uint64_t checkpoints_written = 0;
+  const auto error =
+      restored.DecodeSnapshot(forged, 0xabc, rounds_done, checkpoints_written);
+  EXPECT_FALSE(error.ok()) << "a column claiming 2^62 rows over 8 bytes "
+                              "decoded";
+  EXPECT_NE(error.detail.find("rows * width"), std::string::npos)
+      << error.ToString();
 }
 
 TEST(BlockStore, EverySingleByteCorruptionOfSnapshotIsDetected) {

@@ -16,6 +16,7 @@
 #include "sleepwalk/core/pipeline.h"
 #include "sleepwalk/storage/columnar.h"
 #include "sleepwalk/storage/file.h"
+#include "wrapped_rows_forgery.h"
 
 namespace sleepwalk::core {
 namespace {
@@ -244,6 +245,18 @@ TEST(DatasetColumnar, HostileOffsetTableIsRefused) {
   // META sample count disagrees with the values column outright.
   EXPECT_FALSE(
       ParseDatasetColumnar(ForgeDataset({0, 4}, {4, 6}, 12, 10), view).ok());
+}
+
+TEST(DatasetColumnar, WrappedRowCountColumnIsRefused) {
+  const auto forged = testing_support::WithWrappedRowsColumn(
+      EncodeDatasetColumnar(TestAnalyses(), 660, 0), "SLPW");
+  ASSERT_FALSE(forged.empty());
+  ColumnarDatasetView view;
+  const auto error = ParseDatasetColumnar(forged, view);
+  EXPECT_FALSE(error.ok()) << "a column claiming 2^62 rows over 8 bytes "
+                              "parsed";
+  EXPECT_NE(error.detail.find("rows * width"), std::string::npos)
+      << error.ToString();
 }
 
 TEST(DatasetColumnar, MapsZeroCopyThroughAnEnv) {

@@ -13,6 +13,7 @@
 
 #include "sleepwalk/net/checksum.h"
 #include "sleepwalk/storage/columnar.h"
+#include "sleepwalk/storage/file.h"
 
 namespace sleepwalk {
 namespace {
@@ -221,6 +222,32 @@ TEST(Columnar, RowWidthLengthMismatchIsRefusedEvenWithValidCrcs) {
       << error.ToString();
 }
 
+TEST(Columnar, WrappedRowCountIsRefusedEvenWithValidCrcs) {
+  // A u32[2] column claiming rows = 2^62 + 2: rows * 4 wraps to 8 in u64,
+  // so a multiplying check would let As<uint32_t>() type ~4.6e18
+  // elements over 8 bytes.
+  ColumnarWriter writer{"SLCK", kKind, kFingerprint, kGeneration};
+  const std::uint32_t two[2] = {7, 9};
+  writer.AddTyped<std::uint32_t>(1, two);
+  Forger forger{writer.Finish()};
+  ColumnarReader reader;
+  ASSERT_TRUE(Parse(reader, forger.image).ok());
+  forger.SetEntryField<std::uint64_t>(0, 8, (1ull << 62) + 2);
+  forger.ResealDirectory();
+  const auto error = Parse(reader, forger.image);
+  ASSERT_FALSE(error.ok());
+  EXPECT_NE(error.detail.find("rows * width"), std::string::npos)
+      << error.ToString();
+  EXPECT_TRUE(reader.columns().empty());
+
+  // A byte length that is not a whole number of elements.
+  Forger ragged{writer.Finish()};
+  ragged.SetEntryField<std::uint64_t>(0, 8, 1);
+  ragged.SetEntryField<std::uint64_t>(0, 24, 6);
+  ragged.ResealDirectory();
+  EXPECT_FALSE(Parse(reader, ragged.image).ok());
+}
+
 TEST(Columnar, OverlappingPayloadsAreRefusedEvenWithValidCrcs) {
   Forger forger{SampleImage()};
   // Point column 1 (the doubles) at column 0's extent. Same byte_len
@@ -255,6 +282,55 @@ TEST(Columnar, PeekContainerVersionSniffsWithoutValidation) {
   EXPECT_EQ(storage::PeekContainerVersion(image, "SLPW"), std::nullopt);
   const std::vector<std::uint8_t> tiny{'S', 'L', 'C', 'K'};
   EXPECT_EQ(storage::PeekContainerVersion(tiny, "SLCK"), std::nullopt);
+}
+
+std::vector<std::uint8_t> Concatenate(const storage::ColumnarParts& layout) {
+  std::vector<std::uint8_t> bytes;
+  for (const auto part : layout.parts()) {
+    bytes.insert(bytes.end(), part.begin(), part.end());
+  }
+  return bytes;
+}
+
+TEST(Columnar, LayoutPartsConcatenateToFinish) {
+  // Zero columns: the head, then padding to the page-aligned data start.
+  ColumnarWriter none{"SLPW", 1, 2, 3};
+  EXPECT_EQ(Concatenate(none.Layout()), none.Finish());
+  EXPECT_EQ(none.Layout().size(), kColumnarPageBytes);
+
+  // Empty columns: directory entries with no payload bytes, between and
+  // after non-empty ones.
+  ColumnarWriter empty{"SLCK", kKind, kFingerprint, kGeneration};
+  const std::uint8_t three[3] = {1, 2, 3};
+  empty.Add(1, 8, {});
+  empty.Add(2, 1, three);
+  empty.Add(3, 4, {});
+  const auto image = empty.Finish();
+  EXPECT_EQ(Concatenate(empty.Layout()), image);
+  EXPECT_EQ(empty.Layout().size(), image.size());
+  ColumnarReader reader;
+  ASSERT_TRUE(Parse(reader, image).ok());
+  EXPECT_EQ(reader.columns().size(), 3u);
+
+  ColumnarWriter sample{"SLCK", kKind, kFingerprint, kGeneration};
+  const std::uint64_t ids[5] = {10, 20, 30, 40, 50};
+  sample.AddTypedBorrowed<std::uint64_t>(1, ids);
+  sample.Add(3, 1, three);
+  EXPECT_EQ(Concatenate(sample.Layout()), sample.Finish());
+}
+
+TEST(Columnar, WriteGathersTheFinishedImage) {
+  ColumnarWriter writer{"SLCK", kKind, kFingerprint, kGeneration};
+  const double values[3] = {0.5, 0.25, 0.125};
+  const std::uint8_t blob[5] = {9, 8, 7, 6, 5};
+  writer.AddTypedBorrowed<double>(2, values);
+  writer.Add(4, 1, blob);
+  storage::MemEnv env;
+  ASSERT_TRUE(writer.Write(env, "/d/c.slck").ok());
+  std::vector<std::uint8_t> written;
+  ASSERT_TRUE(env.ReadAll("/d/c.slck", written).ok());
+  EXPECT_EQ(written, writer.Finish());
+  EXPECT_FALSE(env.Exists("/d/c.slck.tmp"));
 }
 
 TEST(Columnar, EmptyContainerRoundTrips) {
