@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the plain build + full test suite, then the fault
-# subsystem, the simulated world, and the storage and snapshot suites
-# again under AddressSanitizer + UndefinedBehaviorSanitizer.
+# subsystem, the simulated world, the storage and snapshot suites, and
+# the spectral kernels and classifier again under AddressSanitizer +
+# UndefinedBehaviorSanitizer.
 #
 # The sanitizer pass exists because the resilience paths are exactly the
 # ones that juggle raw state buffers (checkpoint serialization, transport
@@ -126,12 +127,13 @@ if [[ "${1:-}" == "--skip-sanitize" ]]; then
   exit 0
 fi
 
-echo "== tier-1: ASan+UBSan build of the fault/resilience, sim and storage tests =="
+echo "== tier-1: ASan+UBSan build of the fault/resilience, sim, storage and fft tests =="
 cmake -B build-asan -S . \
   -DSLEEPWALK_SANITIZE="address;undefined" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "${jobs}" --target faults_test integration_test \
-  crash_sweep_test sim_test storage_test core_test crash_recovery_test
+  crash_sweep_test sim_test storage_test core_test crash_recovery_test \
+  fft_test fft_stress_test
 # sim_test rides along because SimTransport indexes fixed per-octet
 # tables by the low address octet and by `day & 1`, negative days
 # included; its suites are anchored so no other binary's test matches.
@@ -143,7 +145,13 @@ sim_suites='HashUniform|HashGaussian|DiurnalIsOn|IntermittentIsOn|BlockSpec|Addr
 # there pass assertions and only show under the sanitizers.
 storage_suites='Failpoint|FailpointParse|MemEnv|RealEnv|DirName|AtomicWrite|AppendParts|FaultyEnv|Columnar|EveryStep/AtomicWriteFailure|EveryStack/MemEnvMap|EveryAction/AtomicWritePartsFailure'
 snapshot_suites='BlockStore|StoreCampaign|CheckpointColumnar|DatasetColumnar|SnapshotGolden'
+# The spectral suites ride along because the pruned Bluestein stages and
+# the bit-reversed scatter/gather passes index partial ranges of m-sized
+# buffers through a permutation table (DESIGN.md §10.1): a partner slot
+# p + 1 or a stage tail past the buffer end is a heap overflow that a
+# tolerance check on the output can miss.
+fft_suites='PlanGolden|Plan|PlanCache|PlanCacheStress|Bluestein|Forward|ForwardReal|Spectrum|SpectrumOptions|ClassifyDiurnal|ClassifySpectrum|DiurnalGolden'
 ctest --test-dir build-asan --output-on-failure -j "${jobs}" --timeout 600 \
-  -R "FaultPlan|GilbertElliott|FaultyTransport|Supervisor|ResilienceReport|Determinism|RestartArtifact|ObsInertness|ObsReconciliation|CrashSweep|^(${sim_suites}|${storage_suites}|${snapshot_suites})\\."
+  -R "FaultPlan|GilbertElliott|FaultyTransport|Supervisor|ResilienceReport|Determinism|RestartArtifact|ObsInertness|ObsReconciliation|CrashSweep|^(${sim_suites}|${storage_suites}|${snapshot_suites}|${fft_suites})\\."
 
 echo "== tier-1: all green =="

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "sleepwalk/fft/plan.h"
-#include "sleepwalk/fft/spectrum.h"
 #include "sleepwalk/ts/clean.h"
 #include "sleepwalk/ts/series.h"
 
@@ -29,7 +28,7 @@ namespace sleepwalk::core {
 /// One worker's reusable buffers for BlockAnalyzer::Finish and friends.
 struct AnalysisScratch {
   fft::FftScratch fft;            ///< transform buffers + memoized plan
-  fft::Spectrum spectrum;         ///< amplitude/phase output, reused
+  std::vector<double> amplitude;  ///< one-sided |X_k| the classifier scans
   ts::RegularizeScratch regularize;  ///< per-round slot tables
   ts::EvenSeries even;            ///< regularized series
   std::vector<double> index;      ///< stationarity regressor (0, 1, ...)

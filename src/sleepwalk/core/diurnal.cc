@@ -1,6 +1,7 @@
 #include "sleepwalk/core/diurnal.h"
 
 #include <algorithm>
+#include <complex>
 
 namespace sleepwalk::core {
 
@@ -21,29 +22,30 @@ bool InHarmonicSet(std::size_t bin, std::size_t daily, int neighbors,
   return false;
 }
 
-}  // namespace
-
-DiurnalResult ClassifySpectrum(const fft::Spectrum& spectrum, int n_days,
-                               const DiurnalConfig& config) {
+// The §2.2 test on one-sided amplitudes; `phase_at(bin)` supplies the
+// phase of the chosen daily bin, the only phase the result carries.
+template <typename PhaseAt>
+DiurnalResult ClassifyAmplitudes(std::span<const double> amplitude,
+                                 int n_days, const DiurnalConfig& config,
+                                 const PhaseAt& phase_at) {
   DiurnalResult result;
   result.n_days = n_days;
   if (n_days < 2) return result;
   const auto daily = static_cast<std::size_t>(n_days);
   // Need at least the first harmonic in range for a meaningful test.
-  if (spectrum.size() <= 2 * daily + 1) return result;
+  if (amplitude.size() <= 2 * daily + 1) return result;
 
   // Daily component: the stronger of bins N_d and N_d + neighbor_bins.
   result.daily_bin = daily;
-  result.daily_amplitude = spectrum.amplitude[daily];
+  result.daily_amplitude = amplitude[daily];
   for (int j = 1; j <= config.neighbor_bins; ++j) {
     const std::size_t bin = daily + static_cast<std::size_t>(j);
-    if (bin < spectrum.size() &&
-        spectrum.amplitude[bin] > result.daily_amplitude) {
-      result.daily_amplitude = spectrum.amplitude[bin];
+    if (bin < amplitude.size() && amplitude[bin] > result.daily_amplitude) {
+      result.daily_amplitude = amplitude[bin];
       result.daily_bin = bin;
     }
   }
-  result.phase = spectrum.phase[result.daily_bin];
+  result.phase = phase_at(result.daily_bin);
 
   // Scan all non-DC bins for the overall winner, the strongest
   // non-harmonic competitor, and the strongest harmonic.
@@ -51,8 +53,8 @@ DiurnalResult ClassifySpectrum(const fft::Spectrum& spectrum, int n_days,
   std::size_t best_bin = 0;
   double best_other = 0.0;   // outside daily AND harmonic sets
   double best_harmonic = 0.0;
-  for (std::size_t k = 1; k < spectrum.size(); ++k) {
-    const double amp = spectrum.amplitude[k];
+  for (std::size_t k = 1; k < amplitude.size(); ++k) {
+    const double amp = amplitude[k];
     if (amp > best) {
       best = amp;
       best_bin = k;
@@ -85,19 +87,20 @@ DiurnalResult ClassifySpectrum(const fft::Spectrum& spectrum, int n_days,
   return result;
 }
 
+}  // namespace
+
+DiurnalResult ClassifySpectrum(const fft::Spectrum& spectrum, int n_days,
+                               const DiurnalConfig& config) {
+  return ClassifyAmplitudes(
+      spectrum.amplitude, n_days, config,
+      [&](std::size_t bin) { return spectrum.phase[bin]; });
+}
+
 DiurnalResult ClassifyDiurnal(std::span<const double> series, int n_days,
                               const DiurnalConfig& config,
                               const obs::Context* obs) {
-  DiurnalResult result;
-  result.n_days = n_days;
-  if (n_days < 2 || series.size() < 4) return result;
-  fft::Spectrum spectrum;
-  {
-    const auto span = obs != nullptr ? obs->Span("analyze.fft")
-                                     : obs::ScopedSpan{};
-    spectrum = fft::ComputeSpectrum(series, /*remove_mean=*/true);
-  }
-  return ClassifySpectrum(spectrum, n_days, config);
+  AnalysisScratch scratch;
+  return ClassifyDiurnal(series, n_days, config, obs, scratch);
 }
 
 DiurnalResult ClassifyDiurnal(std::span<const double> series, int n_days,
@@ -107,13 +110,21 @@ DiurnalResult ClassifyDiurnal(std::span<const double> series, int n_days,
   DiurnalResult result;
   result.n_days = n_days;
   if (n_days < 2 || series.size() < 4) return result;
+  std::span<const fft::Complex> coeffs;
   {
     const auto span = obs != nullptr ? obs->Span("analyze.fft")
                                      : obs::ScopedSpan{};
-    const fft::SpectrumOptions options;  // remove_mean, like the wrapper
-    fft::ComputeSpectrum(series, options, scratch.fft, scratch.spectrum);
+    const fft::SpectrumOptions options;  // remove_mean, like ComputeSpectrum
+    coeffs = fft::ComputeCoefficients(series, options, scratch.fft);
+    scratch.amplitude.resize(coeffs.size());
+    for (std::size_t k = 0; k < coeffs.size(); ++k) {
+      scratch.amplitude[k] = std::abs(coeffs[k]);
+    }
   }
-  return ClassifySpectrum(scratch.spectrum, n_days, config);
+  // The classifier reads one phase, so only the daily bin pays for atan2.
+  return ClassifyAmplitudes(
+      scratch.amplitude, n_days, config,
+      [&](std::size_t bin) { return std::arg(coeffs[bin]); });
 }
 
 }  // namespace sleepwalk::core

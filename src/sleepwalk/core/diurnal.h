@@ -74,10 +74,12 @@ DiurnalResult ClassifyDiurnal(std::span<const double> series, int n_days,
                               const DiurnalConfig& config = {},
                               const obs::Context* obs = nullptr);
 
-/// Hot-loop variant: the spectrum is computed through the plan cache
-/// into `scratch` (transform buffers + reused Spectrum), so a warm call
-/// performs no heap allocation. Classification output is identical to
-/// the allocating overload.
+/// Hot-loop variant: the one-sided coefficients are computed through the
+/// plan cache into `scratch` (transform buffers + reused amplitude
+/// vector), so a warm call performs no heap allocation. Only the chosen
+/// daily bin's phase is evaluated. Output is bit-identical to
+/// ClassifySpectrum(ComputeSpectrum(series), ...); the allocating
+/// overload is this one with a fresh scratch.
 DiurnalResult ClassifyDiurnal(std::span<const double> series, int n_days,
                               const DiurnalConfig& config,
                               const obs::Context* obs,

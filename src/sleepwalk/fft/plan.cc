@@ -1,5 +1,6 @@
 #include "sleepwalk/fft/plan.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -79,26 +80,48 @@ void Plan::Radix2Kernel::Transform(std::span<Complex> data,
   }
 
   // Inverse twiddles are the conjugates: one sign on the imaginary part
-  // (an exact negation) instead of a branch per butterfly. The butterfly
-  // works on components, not Complex temporaries: copying `u` out as a
-  // value made GCC spill it through the stack and stall on the reload.
+  // (an exact negation) instead of a branch per butterfly.
   const double sign = inverse ? -1.0 : 1.0;
   for (std::size_t len = 2; len <= size; len <<= 1) {
-    const Complex* stage = twiddles.data() + (len / 2 - 1);
-    const std::size_t half = len / 2;
-    for (std::size_t i = 0; i < size; i += len) {
-      for (std::size_t k = 0; k < half; ++k) {
-        const double wr = stage[k].real();
-        const double wi = sign * stage[k].imag();
-        Complex& top = data[i + k];
-        Complex& bottom = data[i + k + half];
-        const double vr = bottom.real() * wr - bottom.imag() * wi;
-        const double vi = bottom.real() * wi + bottom.imag() * wr;
-        const double ur = top.real();
-        const double ui = top.imag();
-        top = {ur + vr, ui + vi};
-        bottom = {ur - vr, ui - vi};
-      }
+    Stage(data, len, size, sign);
+  }
+}
+
+void Plan::Radix2Kernel::Stage(std::span<Complex> data, std::size_t len,
+                               std::size_t need, double sign) const {
+  const Complex* stage = twiddles.data() + (len / 2 - 1);
+  const std::size_t half = len / 2;
+  // Each block keeps positions [0, keep). Butterfly k writes positions k
+  // (top) and k + half (bottom): below `full` both are kept, from there
+  // up to `top` only the top is. Two loops rather than a branch per
+  // butterfly, which costs as much as the pruning saves.
+  const std::size_t keep = std::min(len, need);
+  const std::size_t full = keep > half ? keep - half : 0;
+  const std::size_t top = std::min(keep, half);
+  // The butterfly works on components, not Complex temporaries: copying
+  // `u` out as a value made GCC spill it through the stack and stall on
+  // the reload.
+  for (std::size_t i = 0; i < n; i += len) {
+    Complex* block = data.data() + i;
+    for (std::size_t k = 0; k < full; ++k) {
+      const double wr = stage[k].real();
+      const double wi = sign * stage[k].imag();
+      Complex& upper = block[k];
+      Complex& lower = block[k + half];
+      const double vr = lower.real() * wr - lower.imag() * wi;
+      const double vi = lower.real() * wi + lower.imag() * wr;
+      const double ur = upper.real();
+      const double ui = upper.imag();
+      upper = {ur + vr, ui + vi};
+      lower = {ur - vr, ui - vi};
+    }
+    for (std::size_t k = full; k < top; ++k) {
+      const double wr = stage[k].real();
+      const double wi = sign * stage[k].imag();
+      const Complex& lower = block[k + half];
+      const double vr = lower.real() * wr - lower.imag() * wi;
+      const double vi = lower.real() * wi + lower.imag() * wr;
+      block[k] = {block[k].real() + vr, block[k].imag() + vi};
     }
   }
 }
@@ -153,35 +176,70 @@ Plan::Plan(std::size_t n) : n_(n) {
   }
 }
 
-void Plan::BluesteinExecute(FftScratch& scratch, bool inverse,
-                            std::vector<Complex>& out) const {
+template <typename Load>
+void Plan::Bluestein(const Load& load, bool inverse, std::size_t outputs,
+                     FftScratch& scratch, std::vector<Complex>& out) const {
   const std::size_t m = kernel_.n;
-  kernel_.Transform(scratch.conv, /*inverse=*/false);
-  if (inverse) {
-    // b is index-symmetric, so FFT(b) is even and FFT(conj(b))[k] is
-    // simply conj(FFT(b)[k]) — the forward table serves both directions.
-    for (std::size_t k = 0; k < m; ++k) {
-      scratch.conv[k] = Mul(scratch.conv[k], std::conj(fft_b_[k]));
-    }
-  } else {
-    for (std::size_t k = 0; k < m; ++k) {
-      scratch.conv[k] = Mul(scratch.conv[k], fft_b_[k]);
-    }
+  const std::size_t half = m / 2;
+  const std::uint32_t* bitrev = kernel_.bitrev.data();
+  const double sign = inverse ? -1.0 : 1.0;
+
+  // Load, bit reversal and the span-2 forward stage in one pass. m >= 2n,
+  // so input j < n lands at even slot p = bitrev[j] and its partner slot
+  // p + 1 = bitrev[j + m/2] holds zero padding. Against a +0 partner the
+  // butterfly (w = 1 - 0i) reduces exactly to top = u + 0.0 (which maps
+  // -0 to +0, as the full butterfly did) and bottom = u.
+  std::vector<Complex>& conv = scratch.conv;
+  conv.resize(m);
+  for (std::size_t j = 0; j < n_; ++j) {
+    const Complex u = load(j);
+    const std::uint32_t p = bitrev[j];
+    conv[p] = {u.real() + 0.0, u.imag() + 0.0};
+    conv[p + 1] = u;
   }
-  kernel_.Transform(scratch.conv, /*inverse=*/true);
+  for (std::size_t j = n_; j < half; ++j) {
+    const std::uint32_t p = bitrev[j];
+    conv[p] = Complex{};
+    conv[p + 1] = Complex{};
+  }
+  for (std::size_t len = 4; len <= m; len <<= 1) {
+    kernel_.Stage(conv, len, m, /*sign=*/1.0);
+  }
+
+  // Pointwise product with FFT(b), bit reversal and the span-2 inverse
+  // stage in one out-of-place pass: slot pair (p, p + 1) takes products
+  // j and j + m/2. b is index-symmetric, so FFT(b) is even and
+  // FFT(conj(b))[k] is simply conj(FFT(b)[k]) — the forward table serves
+  // both directions.
+  std::vector<Complex>& work = scratch.work;
+  work.resize(m);
+  const double wr = kernel_.twiddles[0].real();
+  const double wi = -kernel_.twiddles[0].imag();  // inverse: conjugate
+  for (std::size_t j = 0; j < half; ++j) {
+    const Complex b_top{fft_b_[j].real(), sign * fft_b_[j].imag()};
+    const Complex b_bottom{fft_b_[j + half].real(),
+                           sign * fft_b_[j + half].imag()};
+    const Complex upper = Mul(conv[j], b_top);
+    const Complex lower = Mul(conv[j + half], b_bottom);
+    const double vr = lower.real() * wr - lower.imag() * wi;
+    const double vi = lower.real() * wi + lower.imag() * wr;
+    const std::uint32_t p = bitrev[j];
+    work[p] = {upper.real() + vr, upper.imag() + vi};
+    work[p + 1] = {upper.real() - vr, upper.imag() - vi};
+  }
+  // Only outputs [0, outputs) are read, so every later stage computes
+  // just the slots they depend on (Radix2Kernel::Stage).
+  for (std::size_t len = 4; len <= m; len <<= 1) {
+    kernel_.Stage(work, len, outputs, /*sign=*/-1.0);
+  }
 
   const double scale =
       inverse ? 1.0 / (static_cast<double>(m) * static_cast<double>(n_))
               : 1.0 / static_cast<double>(m);
-  out.resize(n_);
-  if (inverse) {
-    for (std::size_t k = 0; k < n_; ++k) {
-      out[k] = Mul(scratch.conv[k] * scale, std::conj(chirp_[k]));
-    }
-  } else {
-    for (std::size_t k = 0; k < n_; ++k) {
-      out[k] = Mul(scratch.conv[k] * scale, chirp_[k]);
-    }
+  out.resize(outputs);
+  for (std::size_t k = 0; k < outputs; ++k) {
+    const Complex chirp{chirp_[k].real(), sign * chirp_[k].imag()};
+    out[k] = Mul(work[k] * scale, chirp);
   }
 }
 
@@ -193,11 +251,8 @@ void Plan::Forward(std::span<const Complex> in, FftScratch& scratch,
     kernel_.Transform(out, /*inverse=*/false);
     return;
   }
-  scratch.conv.assign(kernel_.n, Complex{});
-  for (std::size_t k = 0; k < n_; ++k) {
-    scratch.conv[k] = Mul(in[k], chirp_[k]);
-  }
-  BluesteinExecute(scratch, /*inverse=*/false, out);
+  Bluestein([&](std::size_t k) { return Mul(in[k], chirp_[k]); },
+            /*inverse=*/false, n_, scratch, out);
 }
 
 void Plan::Inverse(std::span<const Complex> in, FftScratch& scratch,
@@ -210,23 +265,40 @@ void Plan::Inverse(std::span<const Complex> in, FftScratch& scratch,
     for (auto& value : out) value *= scale;
     return;
   }
-  scratch.conv.assign(kernel_.n, Complex{});
-  for (std::size_t k = 0; k < n_; ++k) {
-    scratch.conv[k] = Mul(in[k], std::conj(chirp_[k]));
-  }
-  BluesteinExecute(scratch, /*inverse=*/true, out);
+  Bluestein([&](std::size_t k) { return Mul(in[k], std::conj(chirp_[k])); },
+            /*inverse=*/true, n_, scratch, out);
 }
 
 void Plan::ForwardReal(std::span<const double> in, FftScratch& scratch,
                        std::vector<Complex>& out) const {
+  ForwardRealBins(in, n_, scratch, out);
+}
+
+void Plan::ForwardRealOneSided(std::span<const double> in,
+                               FftScratch& scratch,
+                               std::vector<Complex>& out) const {
+  ForwardRealBins(in, n_ / 2 + 1, scratch, out);
+}
+
+void Plan::ForwardRealBins(std::span<const double> in, std::size_t bins,
+                           FftScratch& scratch,
+                           std::vector<Complex>& out) const {
   CheckSize(in.size(), n_);
   if (half_ == nullptr) {
-    // Odd or tiny sizes: complexify and take the general path.
-    scratch.packed.resize(n_);
-    for (std::size_t k = 0; k < n_; ++k) {
-      scratch.packed[k] = Complex{in[k], 0.0};
+    if (radix2()) {
+      // n <= 2 (bins == n): complexify and take the radix-2 path.
+      scratch.packed.resize(n_);
+      for (std::size_t k = 0; k < n_; ++k) {
+        scratch.packed[k] = Complex{in[k], 0.0};
+      }
+      Forward(scratch.packed, scratch, out);
+      return;
     }
-    Forward(scratch.packed, scratch, out);
+    // Odd n: the chirp multiply of the complexified input, x + 0i, done
+    // on load instead of through a complex copy.
+    Bluestein(
+        [&](std::size_t k) { return Mul(Complex{in[k], 0.0}, chirp_[k]); },
+        /*inverse=*/false, bins, scratch, out);
     return;
   }
 
@@ -234,6 +306,8 @@ void Plan::ForwardReal(std::span<const double> in, FftScratch& scratch,
   // half size; the even/odd sub-spectra then separate algebraically:
   //   E[k] = (Z[k] + conj(Z[h-k])) / 2,  O[k] = -i*(Z[k] - conj(Z[h-k])) / 2,
   //   X[k] = E[k] + W^k O[k],  X[k+h] = E[k] - W^k O[k].
+  // Bins past `bins` are never computed (one-sided: only X[h] of the
+  // upper half).
   const std::size_t h = n_ / 2;
   scratch.packed.resize(h);
   for (std::size_t j = 0; j < h; ++j) {
@@ -241,7 +315,7 @@ void Plan::ForwardReal(std::span<const double> in, FftScratch& scratch,
   }
   half_->Forward(scratch.packed, scratch, scratch.half);
 
-  out.resize(n_);
+  out.resize(bins);
   for (std::size_t k = 0; k < h; ++k) {
     const Complex z_k = scratch.half[k];
     const Complex z_mirror = std::conj(scratch.half[(h - k) % h]);
@@ -249,7 +323,7 @@ void Plan::ForwardReal(std::span<const double> in, FftScratch& scratch,
     const Complex odd = Mul(Complex{0.0, -0.5}, z_k - z_mirror);
     const Complex cross = Mul(real_twiddles_[k], odd);
     out[k] = even + cross;
-    out[k + h] = even - cross;
+    if (k + h < bins) out[k + h] = even - cross;
   }
 }
 

@@ -46,10 +46,11 @@ class Plan;
 /// worker that analyzes same-length series allocates only on its first
 /// block. Not thread-safe: one FftScratch per worker thread.
 struct FftScratch {
-  std::vector<Complex> conv;    ///< Bluestein convolution buffer (size m)
+  std::vector<Complex> conv;    ///< Bluestein forward buffer (size m)
+  std::vector<Complex> work;    ///< Bluestein inverse buffer (size m)
   std::vector<Complex> packed;  ///< real-input packing / complexified input
   std::vector<Complex> half;    ///< half-size transform output (real path)
-  std::vector<Complex> coeffs;  ///< DFT coefficients (spectrum pipeline)
+  std::vector<Complex> coeffs;  ///< one-sided DFT bins (spectrum pipeline)
   std::vector<double> real;     ///< preprocessed real series (spectrum)
   /// Last plan this scratch executed with; callers that loop over
   /// same-length series skip the PlanCache mutex entirely.
@@ -87,6 +88,12 @@ class Plan {
   void ForwardReal(std::span<const double> in, FftScratch& scratch,
                    std::vector<Complex>& out) const;
 
+  /// Bins [0, n/2] of ForwardReal, bit for bit, and nothing else: the
+  /// one-sided spectrum of a real series. Odd sizes prune the Bluestein
+  /// inverse to the n/2 + 1 outputs; even sizes unpack only those bins.
+  void ForwardRealOneSided(std::span<const double> in, FftScratch& scratch,
+                           std::vector<Complex>& out) const;
+
   /// Normalized inverse DFT (Inverse(Forward(x)) == x up to rounding).
   /// Single-pass: inverse twiddles are conjugated table reads and the
   /// Bluestein kernel conjugates in place — no conjugate-copy round
@@ -104,14 +111,28 @@ class Plan {
     std::vector<Complex> twiddles;
 
     void Transform(std::span<Complex> data, bool inverse) const;
+
+    /// One butterfly stage of span `len` over every block of `data`
+    /// (already in bit-reversed order), writing only positions
+    /// [0, min(len, need)) of each block; need >= n runs the full stage.
+    /// `sign` is +1 forward, -1 inverse (conjugated twiddles).
+    void Stage(std::span<Complex> data, std::size_t len, std::size_t need,
+               double sign) const;
   };
 
   static Radix2Kernel MakeKernel(std::size_t n);
 
-  /// Bluestein convolution shared by Forward/Inverse: `load` fills
-  /// scratch.conv[0..n) with the chirp-premultiplied input.
-  void BluesteinExecute(FftScratch& scratch, bool inverse,
-                        std::vector<Complex>& out) const;
+  /// Bluestein transform shared by Forward, Inverse and odd ForwardReal,
+  /// computing only `outputs` (<= n) leading bins. `load(k)` returns the
+  /// chirp-premultiplied input k in [0, n); it is consumed by the fused
+  /// load / bit-reversal / first-stage pass (DESIGN.md §10.1).
+  template <typename Load>
+  void Bluestein(const Load& load, bool inverse, std::size_t outputs,
+                 FftScratch& scratch, std::vector<Complex>& out) const;
+
+  /// ForwardReal restricted to bins [0, bins), bins in {n, n/2 + 1}.
+  void ForwardRealBins(std::span<const double> in, std::size_t bins,
+                       FftScratch& scratch, std::vector<Complex>& out) const;
 
   std::size_t n_ = 0;
   Radix2Kernel kernel_;            ///< size n (radix2) or m (Bluestein)

@@ -50,14 +50,12 @@ void ApplyHann(std::vector<double>& series) {
 
 }  // namespace
 
-void ComputeSpectrum(std::span<const double> series,
-                     const SpectrumOptions& options, FftScratch& scratch,
-                     Spectrum& out) {
+std::span<const Complex> ComputeCoefficients(std::span<const double> series,
+                                             const SpectrumOptions& options,
+                                             FftScratch& scratch) {
   const std::size_t n = series.size();
-  out.input_size = n;
-  out.amplitude.clear();
-  out.phase.clear();
-  if (n == 0) return;
+  scratch.coeffs.clear();
+  if (n == 0) return {};
 
   scratch.real.assign(series.begin(), series.end());
   if (options.detrend) {
@@ -72,14 +70,20 @@ void ComputeSpectrum(std::span<const double> series,
   if (scratch.plan == nullptr || scratch.plan->size() != n) {
     scratch.plan = GetPlan(n);
   }
-  scratch.plan->ForwardReal(scratch.real, scratch, scratch.coeffs);
+  scratch.plan->ForwardRealOneSided(scratch.real, scratch, scratch.coeffs);
+  return scratch.coeffs;
+}
 
-  const std::size_t bins = n / 2 + 1;
-  out.amplitude.resize(bins);
-  out.phase.resize(bins);
-  for (std::size_t k = 0; k < bins; ++k) {
-    out.amplitude[k] = std::abs(scratch.coeffs[k]);
-    out.phase[k] = std::arg(scratch.coeffs[k]);
+void ComputeSpectrum(std::span<const double> series,
+                     const SpectrumOptions& options, FftScratch& scratch,
+                     Spectrum& out) {
+  const auto coeffs = ComputeCoefficients(series, options, scratch);
+  out.input_size = series.size();
+  out.amplitude.resize(coeffs.size());
+  out.phase.resize(coeffs.size());
+  for (std::size_t k = 0; k < coeffs.size(); ++k) {
+    out.amplitude[k] = std::abs(coeffs[k]);
+    out.phase[k] = std::arg(coeffs[k]);
   }
 }
 

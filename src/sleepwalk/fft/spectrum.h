@@ -50,6 +50,16 @@ struct SpectrumOptions {
   bool hann_window = false;
 };
 
+/// The shared first half of every spectral classification: preprocesses
+/// `series` per `options` and transforms it through the scratch's
+/// memoized plan into the one-sided DFT bins [0, n/2] (empty for an
+/// empty series). The returned span views `scratch.coeffs`; callers take
+/// the amplitude and phase of just the bins they read. With warm scratch
+/// capacity the call performs no heap allocation.
+std::span<const Complex> ComputeCoefficients(std::span<const double> series,
+                                             const SpectrumOptions& options,
+                                             FftScratch& scratch);
+
 /// Computes the one-sided spectrum of a real series into `out`,
 /// transforming through the plan cache with caller-owned scratch. With
 /// warm scratch/output capacity the call performs no heap allocation —

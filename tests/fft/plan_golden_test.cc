@@ -8,7 +8,9 @@
 // Plan::Inverse and ComputeSpectrum (amplitude then phase) on fixed
 // seeded inputs, and was recorded with the std::complex kernels. A
 // mismatch means a kernel change moved output bits — and with them
-// every verdict, phase, dataset and checkpoint byte downstream.
+// every verdict, phase, dataset and checkpoint byte downstream. The
+// same loop pins Plan::ForwardRealOneSided to ForwardReal's leading
+// n/2 + 1 bins byte for byte.
 //
 // The pinned bytes assume a baseline x86-64 build (no FMA, so no product
 // is fused into a sum) and glibc's libm for the cos/sin/atan2/hypot that
@@ -17,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "sleepwalk/fft/plan.h"
@@ -156,6 +159,15 @@ TEST(PlanGolden, OutputBytesMatchRecordedHashes) {
       forward_hash = HashBytes(out, forward_hash);
       plan.ForwardReal(real_in, scratch, out);
       forward_real_hash = HashBytes(out, forward_real_hash);
+      // The one-sided transform computes only bins [0, n/2]; they must be
+      // ForwardReal's bytes exactly.
+      std::vector<Complex> one_sided;
+      plan.ForwardRealOneSided(real_in, scratch, one_sided);
+      ASSERT_EQ(one_sided.size(), n / 2 + 1) << "n=" << n;
+      EXPECT_EQ(std::memcmp(one_sided.data(), out.data(),
+                            one_sided.size() * sizeof(Complex)),
+                0)
+          << "ForwardRealOneSided n=" << n;
       plan.Inverse(complex_in, scratch, out);
       inverse_hash = HashBytes(out, inverse_hash);
       Spectrum spectrum;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <numbers>
 #include <vector>
 
@@ -20,6 +21,26 @@ std::vector<double> Cosine(std::size_t n, std::size_t k0, double amplitude,
     signal[m] = offset + amplitude * std::cos(angle);
   }
   return signal;
+}
+
+TEST(Spectrum, CoefficientsAreTheBinsComputeSpectrumReports) {
+  FftScratch scratch;
+  EXPECT_TRUE(ComputeCoefficients({}, SpectrumOptions{}, scratch).empty());
+  for (const std::size_t n : {1u, 2u, 3u, 8u, 261u, 916u}) {
+    const auto signal = Cosine(n, n / 4, 1.5, 0.3, 2.0);
+    const std::vector<Complex> coeffs = [&] {
+      const auto view = ComputeCoefficients(signal, SpectrumOptions{}, scratch);
+      return std::vector<Complex>(view.begin(), view.end());
+    }();
+    ASSERT_EQ(coeffs.size(), n / 2 + 1) << "n=" << n;
+    Spectrum spectrum;
+    ComputeSpectrum(signal, SpectrumOptions{}, scratch, spectrum);
+    ASSERT_EQ(spectrum.size(), coeffs.size());
+    for (std::size_t k = 0; k < coeffs.size(); ++k) {
+      EXPECT_EQ(spectrum.amplitude[k], std::abs(coeffs[k])) << n << "/" << k;
+      EXPECT_EQ(spectrum.phase[k], std::arg(coeffs[k])) << n << "/" << k;
+    }
+  }
 }
 
 TEST(Spectrum, EmptyInput) {
