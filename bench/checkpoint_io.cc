@@ -1,7 +1,7 @@
 // Durable-storage cost of the crash-safe checkpoint layer.
 //
 // Two measurements:
-//   * raw SLCK v2 throughput — encode / decode / rotated store-save of a
+//   * raw SLCK v3 throughput — encode / decode / rotated store-save of a
 //     synthetic checkpoint at 10k and 100k completed blocks (the paper's
 //     survey is 3.7M blocks; per-record cost is flat, so these sizes
 //     extrapolate);
@@ -180,7 +180,7 @@ int Run() {
   const int days = bench::DaysScale(6);
 
   bench::PrintHeader(
-      "checkpoint_io: SLCK v2 encode/decode/save throughput + durability tax",
+      "checkpoint_io: SLCK v3 encode/decode/save throughput + durability tax",
       "internal CI gate (not a paper figure): crash safety must cost < 10% "
       "of campaign wall time");
 

@@ -33,17 +33,15 @@
 // refuses baselines recorded with hw_concurrency 1 outright.
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common.h"
-#include "sleepwalk/core/dataset.h"
+#include "sleepwalk/core/dataset_columnar.h"
 #include "sleepwalk/core/parallel_executor.h"
 #include "sleepwalk/core/store_campaign.h"
 #include "sleepwalk/core/supervisor.h"
@@ -113,20 +111,12 @@ RunResult RunAt(const sim::SimWorld& world,
   return result;
 }
 
-std::string DatasetBytes(const core::CampaignOutcome& outcome,
-                         const std::string& tag) {
+std::vector<std::uint8_t> DatasetBytes(
+    const core::CampaignOutcome& outcome) {
   core::AnalyzerConfig analyzer;
-  const std::string path = "parallel_scaling_" + tag + ".slpw.tmp";
-  if (!core::WriteDataset(path, outcome.result.analyses,
-                          analyzer.schedule.round_seconds,
-                          analyzer.schedule.epoch_sec)) {
-    return {};
-  }
-  std::ifstream in{path, std::ios::binary};
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::remove(path.c_str());
-  return buffer.str();
+  return core::EncodeDatasetColumnar(outcome.result.analyses,
+                                     analyzer.schedule.round_seconds,
+                                     analyzer.schedule.epoch_sec);
 }
 
 // --- small scale: the full measurement pipeline ------------------------
@@ -162,17 +152,17 @@ SmallScale RunSmall() {
   std::cout << "[small] blocks " << result.blocks << ", rounds/block "
             << result.rounds << " (full pipeline)\n";
   const int worker_counts[] = {1, 2, 4, 8};
-  std::string dataset_one;
-  std::string dataset_eight;
+  std::vector<std::uint8_t> dataset_one;
+  std::vector<std::uint8_t> dataset_eight;
   for (int i = 0; i < 4; ++i) {
     const auto run = RunAt(world, targets, result.rounds, worker_counts[i]);
     result.bps[i] = run.blocks_per_sec;
     std::cout << "[small] workers " << worker_counts[i] << ": "
               << static_cast<long>(result.bps[i]) << " blocks/sec\n";
     if (worker_counts[i] == 1) {
-      dataset_one = DatasetBytes(run.outcome, "w1");
+      dataset_one = DatasetBytes(run.outcome);
     } else if (worker_counts[i] == 8) {
-      dataset_eight = DatasetBytes(run.outcome, "w8");
+      dataset_eight = DatasetBytes(run.outcome);
     }
   }
   result.equivalent = !dataset_one.empty() && dataset_one == dataset_eight;

@@ -101,7 +101,9 @@ int main(int argc, char** argv) {
   // Persist the campaign: anyone can reload and re-analyze without
   // re-probing (the paper publishes its datasets the same way).
   const std::string dataset_path = "/tmp/sleepwalk_observatory.slpw";
-  if (core::WriteDataset(dataset_path, result.analyses)) {
+  if (core::WriteDatasetColumnar(storage::RealEnvInstance(), dataset_path,
+                                 result.analyses)
+          .ok()) {
     const auto reloaded = core::ReadDataset(dataset_path);
     std::cout << "\ndataset saved to " << dataset_path << " ("
               << (reloaded ? reloaded->blocks.size() : 0u)

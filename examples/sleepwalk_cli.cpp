@@ -71,7 +71,7 @@ int Usage() {
       "          [--workers W] [--loss P] [--burst P] [--rate-limit N]\n"
       "          [--dead N] [--checkpoint FILE] [--checkpoint-every R]\n"
       "          [--checkpoint-blocks B] [--checkpoint-keep K]\n"
-      "          [--failpoints SPEC] [--dataset-format v2|v3]\n"
+      "          [--failpoints SPEC]\n"
       "          [--log-level L] [--log-json FILE] [--metrics-out FILE]\n"
       "          [--trace-out FILE] [--trace-chrome FILE]\n"
       "          [--admin-port P] [--admin-port-file FILE]\n"
@@ -102,12 +102,10 @@ int Usage() {
       "      on 127.0.0.1:P (0 picks a free port) while the campaign\n"
       "      runs — a read-only observer; results stay byte-identical.\n"
       "      --admin-port-file FILE writes the bound port for scripts.\n"
-      "      --dataset-format v3 writes the columnar zero-copy SLPW v3\n"
-      "      layout instead of the framed v2 (either reads back\n"
-      "      identically through analyze/compare/block).\n"
+      "      The dataset is written as SLPW v3 (columnar, zero-copy).\n"
       "  analyze --in FILE [--workers W]\n"
-      "      diurnal summary of a saved dataset (v1/v2/v3 sniffed;\n"
-      "      re-classified on --workers threads)\n"
+      "      diurnal summary of a saved SLPW v3 dataset (re-classified\n"
+      "      on --workers threads)\n"
       "  compare --a FILE --b FILE\n"
       "      cross-dataset agreement matrix (paper Table 2)\n"
       "  block --in FILE (--index I | --prefix a.b.c/24)\n"
@@ -396,20 +394,9 @@ int CmdMeasure(const Flags& flags) {
   std::cerr << "\n";
   const auto& result = outcome.result;
 
-  const auto dataset_format = flags.Get("dataset-format");
-  if (!dataset_format.empty() && dataset_format != "v2" &&
-      dataset_format != "v3") {
-    std::cerr << "measure: --dataset-format must be v2 or v3\n";
-    return 2;
-  }
-  const auto write_error =
-      dataset_format == "v3"
-          ? core::WriteDatasetColumnar(env, out, result.analyses,
-                                       config.analyzer.schedule.round_seconds,
-                                       config.analyzer.schedule.epoch_sec)
-          : core::WriteDataset(env, out, result.analyses,
-                               config.analyzer.schedule.round_seconds,
-                               config.analyzer.schedule.epoch_sec);
+  const auto write_error = core::WriteDatasetColumnar(
+      env, out, result.analyses, config.analyzer.schedule.round_seconds,
+      config.analyzer.schedule.epoch_sec);
   if (!write_error.ok()) {
     std::cerr << "measure: cannot write " << out << ": "
               << write_error.ToString() << "\n";

@@ -197,7 +197,7 @@ class BlockStore {
   /// columns: each snapshot byte is copied once, into the file.
   /// `rounds_done` and `checkpoints_written` ride in the META column so
   /// a resumed campaign continues both counters exactly (generation =
-  /// checkpoints_written, mirroring v2).
+  /// checkpoints_written, like a campaign checkpoint).
   storage::Error WriteSnapshot(storage::Env& env, const std::string& path,
                                std::uint64_t fingerprint,
                                std::uint64_t rounds_done,

@@ -98,7 +98,7 @@ struct BlockCommit {
   report::ResilienceStats delta;
   std::int64_t rounds_processed = 0;
   /// Final EWMA estimator state at block completion, recorded into the
-  /// outcome's columnar BlockStore (and persisted by v3 checkpoints).
+  /// outcome's columnar BlockStore (and persisted by checkpoints).
   AvailabilityState estimator;
 };
 
@@ -120,9 +120,8 @@ class CampaignLedger {
 
   /// Resume path: adopt everything a matching checkpoint carried. The
   /// columnar store rows for adopted blocks are rebuilt through the
-  /// same VerdictOf projection a live commit uses; estimator columns
-  /// are exact when the checkpoint carried them (v3) and defaults
-  /// otherwise.
+  /// same VerdictOf projection a live commit uses, with the estimator
+  /// state the checkpoint carried (one per completed analysis).
   void AdoptCheckpoint(Checkpoint& checkpoint) SLEEPWALK_EXCLUDES(mutex_) {
     util::MutexLock lock{mutex_};
     outcome_.result.analyses = std::move(checkpoint.completed);
@@ -138,13 +137,8 @@ class CampaignLedger {
           std::find(checkpoint.quarantined.begin(),
                     checkpoint.quarantined.end(),
                     analyses[i].block.Index()) != checkpoint.quarantined.end();
-      // v2 checkpoints never persisted estimator state; keep the
-      // Reset-seeded defaults rather than clobbering them with zeros.
-      const AvailabilityState estimator =
-          i < checkpoint.estimators.size() ? checkpoint.estimators[i]
-                                           : outcome_.store.ExportEstimator(i);
       outcome_.store.RecordVerdict(i, VerdictOf(analyses[i], quarantined),
-                                   estimator);
+                                   checkpoint.estimators[i]);
     }
     outcome_.resumed = true;
     outcome_.stats.resumed_from_checkpoint = true;
@@ -246,8 +240,7 @@ class CampaignLedger {
     checkpoint.fingerprint = fingerprint;
     checkpoint.counts = outcome_.result.counts;
     checkpoint.completed = outcome_.result.analyses;
-    // Per-completed-block estimator state rides along (v3 containers
-    // persist it; the v2 encoder ignores it, its layout being frozen).
+    // Per-completed-block estimator state rides along.
     const std::size_t n_estimators =
         std::min(checkpoint.completed.size(), outcome_.store.size());
     checkpoint.estimators.reserve(n_estimators);

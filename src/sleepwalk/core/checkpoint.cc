@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "sleepwalk/core/block_store.h"
-#include "sleepwalk/net/checksum.h"
 #include "sleepwalk/storage/bytes.h"
 #include "sleepwalk/storage/columnar.h"
 #include "sleepwalk/util/narrow.h"
@@ -24,23 +23,12 @@ using storage::ByteWriter;
 
 constexpr char kMagic[4] = {'S', 'L', 'C', 'K'};
 
-// Section ids of the v2 framing; every id appears exactly once.
-constexpr std::uint32_t kSectionMeta = 1;
-constexpr std::uint32_t kSectionCompleted = 2;
-constexpr std::uint32_t kSectionQuarantined = 3;
-constexpr std::uint32_t kSectionInflight = 4;
-constexpr std::uint32_t kSectionTransport = 5;
-constexpr std::uint32_t kSectionCount = 5;
-
-// Bytes between the magic and the header CRC: u32 version
-// + u64 fingerprint + u64 generation + u32 n_sections.
-constexpr std::size_t kHeaderBytes = 4 + 8 + 8 + 4;
-
-// v3 column ids (container kind kCheckpointKind). The small v2 sections
-// keep their exact payload encodings as byte-blob columns; COMPLETED is
-// shredded into fixed-width per-record columns (ids 10..32, one row per
-// completed analysis) plus three concatenated variable-length blobs
-// (ids 40..42) indexed by the per-record length columns.
+// Column ids (container kind kCheckpointKind; file-format constants:
+// never renumber, only append). META, INFLIGHT and TRANSPORT are
+// byte-blob columns; COMPLETED is shredded into fixed-width per-record
+// columns (ids 10..38, one row per completed analysis) plus three
+// concatenated variable-length blobs (ids 40..42) indexed by the
+// per-record length columns.
 constexpr std::uint32_t kColMeta = 1;         // META payload, meta v == 3
 constexpr std::uint32_t kColQuarantined = 2;  // u32 prefix indices
 constexpr std::uint32_t kColInflight = 3;     // INFLIGHT payload blob
@@ -98,8 +86,8 @@ void PutStats(ByteWriter& out, const report::ResilienceStats& stats) {
   out.Put(stats.forced_restarts);
   out.Put(stats.quarantined_blocks);
   out.Put(stats.checkpoints_written);
-  // resumed_from_checkpoint is deliberately NOT persisted since v2: it
-  // is process-lifetime information (AdoptCheckpoint sets it), and
+  // resumed_from_checkpoint is deliberately NOT persisted: it is
+  // process-lifetime information (AdoptCheckpoint sets it), and
   // keeping it out makes a resumed campaign's final checkpoint
   // byte-identical to an uninterrupted run's.
 }
@@ -113,100 +101,6 @@ bool GetStats(ByteReader& in, report::ResilienceStats& stats) {
          in.Get(stats.backoff_seconds) && in.Get(stats.forced_restarts) &&
          in.Get(stats.quarantined_blocks) &&
          in.Get(stats.checkpoints_written);
-}
-
-void PutAnalysis(ByteWriter& out, const BlockAnalysis& analysis) {
-  out.Put(analysis.block.Index());
-  out.Put(util::BoolByte(analysis.probed));
-  out.Put(util::CheckedNarrow<std::int32_t>(analysis.ever_active));
-  out.Put(analysis.short_series.first_round);
-  out.Put(static_cast<std::uint64_t>(analysis.short_series.size()));
-  out.PutArray(std::span<const double>{analysis.short_series.values});
-  out.Put(util::CheckedNarrow<std::int32_t>(analysis.observed_days));
-  out.Put(util::CheckedNarrow<std::uint8_t>(
-      static_cast<int>(analysis.diurnal.classification)));
-  out.Put(util::CheckedNarrow<std::int32_t>(analysis.diurnal.n_days));
-  out.Put(static_cast<std::uint64_t>(analysis.diurnal.daily_bin));
-  out.Put(analysis.diurnal.daily_amplitude);
-  out.Put(analysis.diurnal.phase);
-  out.Put(static_cast<std::uint64_t>(analysis.diurnal.strongest_bin));
-  out.Put(analysis.diurnal.strongest_amplitude);
-  out.Put(analysis.diurnal.strongest_cycles_per_day);
-  out.Put(analysis.stationarity.slope_per_round);
-  out.Put(analysis.stationarity.addresses_per_day);
-  out.Put(util::BoolByte(analysis.stationarity.stationary));
-  out.Put(analysis.mean_short);
-  out.Put(analysis.final_operational);
-  out.Put(analysis.mean_probes_per_round);
-  out.Put(util::CheckedNarrow<std::int32_t>(analysis.down_rounds));
-  out.Put(static_cast<std::uint64_t>(analysis.outage_starts.size()));
-  for (const auto start : analysis.outage_starts) out.Put(start);
-  out.Put(static_cast<std::uint64_t>(analysis.outages.size()));
-  for (const auto& outage : analysis.outages) {
-    out.Put(outage.start_round);
-    out.Put(outage.rounds);
-  }
-}
-
-bool GetAnalysis(ByteReader& in, BlockAnalysis& analysis) {
-  std::uint32_t index = 0;
-  std::uint8_t probed = 0;
-  std::int32_t ever_active = 0;
-  std::uint64_t n_samples = 0;
-  if (!in.Get(index) || !in.Get(probed) || !in.Get(ever_active) ||
-      !in.Get(analysis.short_series.first_round) || !in.Get(n_samples) ||
-      n_samples > kMaxCount) {
-    return false;
-  }
-  analysis.block = net::Prefix24::FromIndex(index);
-  analysis.probed = probed != 0;
-  analysis.ever_active = ever_active;
-  analysis.short_series.values.resize(n_samples);
-  if (!in.GetArray(analysis.short_series.values.data(), n_samples)) {
-    return false;
-  }
-  std::int32_t observed_days = 0;
-  std::uint8_t classification = 0;
-  std::int32_t n_days = 0;
-  std::uint64_t daily_bin = 0;
-  std::uint64_t strongest_bin = 0;
-  std::uint8_t stationary = 0;
-  std::int32_t down_rounds = 0;
-  std::uint64_t n_starts = 0;
-  if (!in.Get(observed_days) || !in.Get(classification) ||
-      !in.Get(n_days) || !in.Get(daily_bin) ||
-      !in.Get(analysis.diurnal.daily_amplitude) ||
-      !in.Get(analysis.diurnal.phase) || !in.Get(strongest_bin) ||
-      !in.Get(analysis.diurnal.strongest_amplitude) ||
-      !in.Get(analysis.diurnal.strongest_cycles_per_day) ||
-      !in.Get(analysis.stationarity.slope_per_round) ||
-      !in.Get(analysis.stationarity.addresses_per_day) ||
-      !in.Get(stationary) || !in.Get(analysis.mean_short) ||
-      !in.Get(analysis.final_operational) ||
-      !in.Get(analysis.mean_probes_per_round) || !in.Get(down_rounds) ||
-      !in.Get(n_starts) || n_starts > kMaxCount) {
-    return false;
-  }
-  analysis.observed_days = observed_days;
-  analysis.diurnal.classification = static_cast<Diurnality>(classification);
-  analysis.diurnal.n_days = n_days;
-  analysis.diurnal.daily_bin = static_cast<std::size_t>(daily_bin);
-  analysis.diurnal.strongest_bin = static_cast<std::size_t>(strongest_bin);
-  analysis.stationarity.stationary = stationary != 0;
-  analysis.down_rounds = down_rounds;
-  analysis.outage_starts.resize(n_starts);
-  for (auto& start : analysis.outage_starts) {
-    if (!in.Get(start)) return false;
-  }
-  std::uint64_t n_outages = 0;
-  if (!in.Get(n_outages) || n_outages > kMaxCount) return false;
-  analysis.outages.resize(n_outages);
-  for (auto& outage : analysis.outages) {
-    if (!in.Get(outage.start_round) || !in.Get(outage.rounds)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 void PutAnalyzerState(ByteWriter& out, const BlockAnalyzerState& state) {
@@ -281,21 +175,12 @@ bool GetAnalyzerState(ByteReader& in, BlockAnalyzerState& state) {
   return true;
 }
 
-void AppendSection(ByteWriter& out, std::uint32_t id, ByteWriter payload) {
-  const auto bytes = payload.Take();
-  out.Put(id);
-  out.Put(static_cast<std::uint64_t>(bytes.size()));
-  out.Put(net::Crc32cOf(bytes));
-  out.PutBytes(bytes);
-}
-
 bool DecodeMeta(ByteReader& in, Checkpoint& checkpoint,
-                CheckpointLoadReport& report,
-                std::uint32_t expected_version = kCheckpointVersion) {
+                CheckpointLoadReport& report) {
   std::uint32_t meta_version = 0;
   if (!in.Get(meta_version)) return false;
-  if (meta_version != expected_version) {
-    // A v2 container carrying another version's payload is a spliced /
+  if (meta_version != kCheckpointVersionColumnar) {
+    // A container carrying another version's META payload is a spliced /
     // mixed-version file; refuse rather than reinterpret.
     report.version_refused = true;
     report.detail = "META format version mismatch";
@@ -307,26 +192,6 @@ bool DecodeMeta(ByteReader& in, Checkpoint& checkpoint,
          in.Get(checkpoint.counts.skipped) &&
          GetStats(in, checkpoint.stats) && in.Get(checkpoint.next_block) &&
          in.remaining() == 0;
-}
-
-bool DecodeCompleted(ByteReader& in, Checkpoint& checkpoint) {
-  std::uint64_t count = 0;
-  if (!in.Get(count) || count > kMaxCount) return false;
-  checkpoint.completed.resize(count);
-  for (auto& analysis : checkpoint.completed) {
-    if (!GetAnalysis(in, analysis)) return false;
-  }
-  return in.remaining() == 0;
-}
-
-bool DecodeQuarantined(ByteReader& in, Checkpoint& checkpoint) {
-  std::uint64_t count = 0;
-  if (!in.Get(count) || count > kMaxCount) return false;
-  checkpoint.quarantined.resize(count);
-  for (auto& index : checkpoint.quarantined) {
-    if (!in.Get(index)) return false;
-  }
-  return in.remaining() == 0;
 }
 
 bool DecodeInflight(ByteReader& in, Checkpoint& checkpoint) {
@@ -341,67 +206,6 @@ bool DecodeInflight(ByteReader& in, Checkpoint& checkpoint) {
   }
   checkpoint.inflight_consecutive_failures = failures;
   return in.remaining() == 0;
-}
-
-/// SLCK v1: the unframed stream format (no checksums, resumed flag
-/// persisted). Reader is positioned just after the u32 version.
-std::optional<Checkpoint> DecodeV1(ByteReader& in,
-                                   CheckpointLoadReport& report) {
-  const auto fail = [&report](const char* what) -> std::optional<Checkpoint> {
-    report.corrupt_sections = std::max(report.corrupt_sections, 1);
-    if (report.detail.empty()) report.detail = what;
-    return std::nullopt;
-  };
-  Checkpoint checkpoint;
-  std::uint8_t resumed = 0;
-  if (!in.Get(checkpoint.fingerprint) ||
-      !in.Get(checkpoint.counts.strict) ||
-      !in.Get(checkpoint.counts.relaxed) ||
-      !in.Get(checkpoint.counts.non_diurnal) ||
-      !in.Get(checkpoint.counts.skipped) ||
-      !GetStats(in, checkpoint.stats) || !in.Get(resumed)) {
-    return fail("v1 header/stats truncated");
-  }
-  checkpoint.stats.resumed_from_checkpoint = resumed != 0;
-  std::uint64_t completed_count = 0;
-  if (!in.Get(completed_count) || completed_count > kMaxCount) {
-    return fail("v1 completed count");
-  }
-  checkpoint.completed.resize(completed_count);
-  for (auto& analysis : checkpoint.completed) {
-    if (!GetAnalysis(in, analysis)) return fail("v1 completed record");
-  }
-  std::uint64_t quarantined_count = 0;
-  if (!in.Get(quarantined_count) || quarantined_count > kMaxCount) {
-    return fail("v1 quarantined count");
-  }
-  checkpoint.quarantined.resize(quarantined_count);
-  for (auto& index : checkpoint.quarantined) {
-    if (!in.Get(index)) return fail("v1 quarantined record");
-  }
-  std::uint8_t has_inflight = 0;
-  if (!in.Get(checkpoint.next_block) || !in.Get(has_inflight)) {
-    return fail("v1 cursor");
-  }
-  checkpoint.has_inflight = has_inflight != 0;
-  if (checkpoint.has_inflight) {
-    std::int32_t failures = 0;
-    if (!in.Get(checkpoint.inflight_next_round) || !in.Get(failures) ||
-        !GetAnalyzerState(in, checkpoint.inflight)) {
-      return fail("v1 inflight state");
-    }
-    checkpoint.inflight_consecutive_failures = failures;
-  }
-  std::uint64_t transport_bytes = 0;
-  if (!in.Get(transport_bytes) || transport_bytes > kMaxCount) {
-    return fail("v1 transport length");
-  }
-  checkpoint.transport_state.resize(transport_bytes);
-  if (!in.GetBytes(checkpoint.transport_state.data(), transport_bytes)) {
-    return fail("v1 transport bytes");
-  }
-  report.generation = checkpoint.stats.checkpoints_written;
-  return checkpoint;
 }
 
 /// SLCK v3: the columnar container. The whole span (not a ByteReader)
@@ -440,7 +244,7 @@ std::optional<Checkpoint> DecodeV3(std::span<const std::uint8_t> bytes,
   const auto meta_bytes = blob(kColMeta);
   if (!meta_bytes) return fail("META column missing");
   ByteReader meta{*meta_bytes};
-  if (!DecodeMeta(meta, checkpoint, report, kCheckpointVersionColumnar)) {
+  if (!DecodeMeta(meta, checkpoint, report)) {
     if (report.version_refused) return std::nullopt;
     return fail("META column malformed");
   }
@@ -632,79 +436,12 @@ std::uint64_t CampaignFingerprint(const std::vector<BlockTarget>& targets,
 }
 
 std::vector<std::uint8_t> EncodeCheckpoint(const Checkpoint& checkpoint) {
-  ByteWriter out;
-  out.PutBytes(std::span{reinterpret_cast<const std::uint8_t*>(kMagic),
-                         sizeof(kMagic)});
-
-  ByteWriter header;
-  header.Put(kCheckpointVersion);
-  header.Put(checkpoint.fingerprint);
-  header.Put(checkpoint.stats.checkpoints_written);  // generation
-  header.Put(kSectionCount);
-  out.PutBytes(header.bytes());
-  out.Put(net::Crc32cOf(header.bytes()));
-
-  ByteWriter meta;
-  meta.Put(kCheckpointVersion);
-  meta.Put(checkpoint.counts.strict);
-  meta.Put(checkpoint.counts.relaxed);
-  meta.Put(checkpoint.counts.non_diurnal);
-  meta.Put(checkpoint.counts.skipped);
-  PutStats(meta, checkpoint.stats);
-  meta.Put(checkpoint.next_block);
-  AppendSection(out, kSectionMeta, std::move(meta));
-
-  ByteWriter completed;
-  // The COMPLETED section carries nearly all of the file; pre-size both
-  // it and the assembly buffer so encoding a campaign-sized checkpoint
-  // is one pass of memcpys, not a chain of regrowth copies. 128 bytes
-  // generously covers everything in a record besides its series.
-  std::size_t completed_bytes = 8;
-  for (const auto& analysis : checkpoint.completed) {
-    completed_bytes += 128 + 8 * analysis.short_series.size() +
-                       16 * analysis.outages.size() +
-                       8 * analysis.outage_starts.size();
-  }
-  completed.Reserve(completed_bytes);
-  out.Reserve(completed_bytes + checkpoint.transport_state.size() + 1024);
-  completed.Put(static_cast<std::uint64_t>(checkpoint.completed.size()));
-  for (const auto& analysis : checkpoint.completed) {
-    PutAnalysis(completed, analysis);
-  }
-  AppendSection(out, kSectionCompleted, std::move(completed));
-
-  ByteWriter quarantined;
-  quarantined.Put(static_cast<std::uint64_t>(checkpoint.quarantined.size()));
-  for (const auto index : checkpoint.quarantined) quarantined.Put(index);
-  AppendSection(out, kSectionQuarantined, std::move(quarantined));
-
-  ByteWriter inflight;
-  inflight.Put(util::BoolByte(checkpoint.has_inflight));
-  if (checkpoint.has_inflight) {
-    inflight.Put(checkpoint.inflight_next_round);
-    inflight.Put(util::CheckedNarrow<std::int32_t>(
-        checkpoint.inflight_consecutive_failures));
-    PutAnalyzerState(inflight, checkpoint.inflight);
-  }
-  AppendSection(out, kSectionInflight, std::move(inflight));
-
-  ByteWriter transport;
-  transport.PutBytes(checkpoint.transport_state);
-  AppendSection(out, kSectionTransport, std::move(transport));
-
-  return out.Take();
-}
-
-std::vector<std::uint8_t> EncodeCheckpointColumnar(
-    const Checkpoint& checkpoint) {
   storage::ColumnarWriter writer(std::string_view{kMagic, sizeof(kMagic)},
                                  kCheckpointKind, checkpoint.fingerprint,
                                  checkpoint.stats.checkpoints_written);
 
-  // The small v2 sections ride along as byte-blob columns with their
-  // exact v2 payload encodings (META leads with the columnar format
-  // version so a spliced v2 META blob is refused, mirroring v2's own
-  // mixed-version check).
+  // META leads with the format version, so a META blob spliced in from
+  // another version's file is refused.
   ByteWriter meta;
   meta.Put(kCheckpointVersionColumnar);
   meta.Put(checkpoint.counts.strict);
@@ -809,9 +546,9 @@ std::vector<std::uint8_t> EncodeCheckpointColumnar(
     }
   }
 
-  // Final estimator state, v3's addition over v2: pad with defaults
-  // when the caller did not capture estimators (e.g. a re-encoded v2
-  // decode) so the columns always agree with the record count.
+  // Final estimator state: pad with defaults when the caller did not
+  // capture estimators, so the columns always agree with the record
+  // count.
   std::vector<double> est_p_short, est_t_short, est_p_long, est_t_long,
       est_deviation;
   std::vector<std::int32_t> est_rounds;
@@ -872,13 +609,6 @@ std::vector<std::uint8_t> EncodeCheckpointColumnar(
   return writer.Finish();
 }
 
-std::vector<std::uint8_t> EncodeCheckpointAs(const Checkpoint& checkpoint,
-                                             std::uint32_t format) {
-  return format == kCheckpointVersionColumnar
-             ? EncodeCheckpointColumnar(checkpoint)
-             : EncodeCheckpoint(checkpoint);
-}
-
 std::optional<Checkpoint> DecodeCheckpoint(std::span<const std::uint8_t> bytes,
                                            CheckpointLoadReport* report) {
   CheckpointLoadReport scratch;
@@ -898,102 +628,13 @@ std::optional<Checkpoint> DecodeCheckpoint(std::span<const std::uint8_t> bytes,
     out.detail = "truncated before version";
     return std::nullopt;
   }
-  if (out.version == 1) return DecodeV1(in, out);
-  if (out.version == kCheckpointVersionColumnar) {
-    return DecodeV3(bytes, out);
-  }
-  if (out.version != kCheckpointVersion) {
+  if (out.version != kCheckpointVersionColumnar) {
+    // v1 and v2 files, left by older builds, and any future version.
     out.version_refused = true;
-    out.detail = "unsupported version";
+    out.detail = "unsupported version " + std::to_string(out.version);
     return std::nullopt;
   }
-
-  Checkpoint checkpoint;
-  std::uint32_t n_sections = 0;
-  std::uint32_t header_crc = 0;
-  if (!in.Get(checkpoint.fingerprint) || !in.Get(out.generation) ||
-      !in.Get(n_sections) || !in.Get(header_crc)) {
-    out.corrupt_sections = 1;
-    out.detail = "truncated header";
-    return std::nullopt;
-  }
-  if (bytes.size() < 4 + kHeaderBytes ||
-      net::Crc32cOf(bytes.subspan(4, kHeaderBytes)) != header_crc) {
-    out.corrupt_sections = 1;
-    out.detail = "header CRC mismatch";
-    return std::nullopt;
-  }
-  if (n_sections > 64) {
-    out.corrupt_sections = 1;
-    out.detail = "implausible section count";
-    return std::nullopt;
-  }
-
-  const auto note = [&out](const std::string& what) {
-    ++out.corrupt_sections;
-    if (out.detail.empty()) out.detail = what;
-  };
-
-  bool seen[kSectionCount + 1] = {};
-  for (std::uint32_t s = 0; s < n_sections; ++s) {
-    std::uint32_t id = 0;
-    std::uint64_t length = 0;
-    std::uint32_t crc = 0;
-    if (!in.Get(id) || !in.Get(length) || !in.Get(crc) ||
-        length > in.remaining()) {
-      // The frame chain itself is broken; nothing after it is locatable.
-      note("section " + std::to_string(s) + " frame truncated");
-      break;
-    }
-    const auto payload = in.Rest().first(length);
-    in.Skip(length);
-    if (net::Crc32cOf(payload) != crc) {
-      note("section id " + std::to_string(id) + " CRC mismatch");
-      continue;
-    }
-    if (id >= 1 && id <= kSectionCount) {
-      if (seen[id]) {
-        note("section id " + std::to_string(id) + " duplicated");
-        continue;
-      }
-      seen[id] = true;
-    }
-    ByteReader section{payload};
-    bool decoded = true;
-    switch (id) {
-      case kSectionMeta:
-        decoded = DecodeMeta(section, checkpoint, out);
-        if (out.version_refused) return std::nullopt;
-        break;
-      case kSectionCompleted:
-        decoded = DecodeCompleted(section, checkpoint);
-        break;
-      case kSectionQuarantined:
-        decoded = DecodeQuarantined(section, checkpoint);
-        break;
-      case kSectionInflight:
-        decoded = DecodeInflight(section, checkpoint);
-        break;
-      case kSectionTransport:
-        checkpoint.transport_state.assign(payload.begin(), payload.end());
-        break;
-      default:
-        break;  // unknown-but-checksummed: skippable (forward compat)
-    }
-    if (!decoded) note("section id " + std::to_string(id) + " malformed");
-  }
-
-  if (in.remaining() != 0) note("trailing bytes after last section");
-  for (std::uint32_t id = 1; id <= kSectionCount; ++id) {
-    if (!seen[id]) note("section id " + std::to_string(id) + " missing");
-  }
-  if (out.corrupt_sections > 0) return std::nullopt;
-  return checkpoint;
-}
-
-storage::Error WriteCheckpoint(storage::Env& env, const std::string& path,
-                               const Checkpoint& checkpoint) {
-  return storage::AtomicWrite(env, path, EncodeCheckpoint(checkpoint));
+  return DecodeV3(bytes, out);
 }
 
 std::optional<Checkpoint> ReadCheckpoint(storage::Env& env,
@@ -1010,24 +651,15 @@ std::optional<Checkpoint> ReadCheckpoint(storage::Env& env,
   return DecodeCheckpoint(bytes, report);
 }
 
-bool WriteCheckpoint(const std::string& path, const Checkpoint& checkpoint) {
-  return WriteCheckpoint(storage::RealEnvInstance(), path, checkpoint).ok();
-}
-
-std::optional<Checkpoint> ReadCheckpoint(const std::string& path) {
-  return ReadCheckpoint(storage::RealEnvInstance(), path, nullptr);
-}
-
 // ---------------------------------------------------------------------------
 // CheckpointStore
 
 CheckpointStore::CheckpointStore(storage::Env& env, std::string path,
-                                 int keep, std::uint32_t format)
+                                 int keep)
     : env_(env),
       path_(std::move(path)),
       dir_(storage::DirName(path_)),
-      keep_(std::max(keep, 1)),
-      format_(format) {
+      keep_(std::max(keep, 1)) {
   const auto slash = path_.find_last_of('/');
   base_ = slash == std::string::npos ? path_ : path_.substr(slash + 1);
 }
@@ -1051,8 +683,8 @@ CheckpointStore::Generations() {
 }
 
 storage::Error CheckpointStore::Save(const Checkpoint& checkpoint) {
-  if (auto error = storage::AtomicWrite(
-          env_, path_, EncodeCheckpointAs(checkpoint, format_));
+  if (auto error =
+          storage::AtomicWrite(env_, path_, EncodeCheckpoint(checkpoint));
       !error.ok()) {
     return error;
   }

@@ -8,35 +8,28 @@
 // resilience statistics, and the transport's serialized state (for
 // stateful/simulated transports).
 //
-// Format "SLCK" v2 (little-endian; encode/decode are pure in-memory
-// transforms over storage/bytes.h, moved atomically by storage/file.h):
-//
-//   magic "SLCK"
-//   | u32 version | u64 campaign_fingerprint | u64 generation
-//   | u32 n_sections | u32 header_crc32c            (over the 24 bytes
-//                                                    after the magic)
-//   then n_sections framed sections:
-//   u32 section_id | u64 payload_len | u32 payload_crc32c | payload
-//
-// Sections (every one present exactly once):
+// Format "SLCK" v3: a storage/columnar.h container of kind
+// kCheckpointKind (page-aligned, every column CRC32C-framed, loaded
+// through storage::Env::Map). Columns:
 //   META        format version (mixed-version refusal), diurnal counts,
 //               resilience stats, next_block
-//   COMPLETED   finished BlockAnalysis records (full f64 series)
+//   COMPLETED   finished BlockAnalysis records shredded into fixed-width
+//               per-record columns plus concatenated series/outage blobs,
+//               with each block's final estimator state
 //   QUARANTINED abandoned prefix indices
 //   INFLIGHT    the open block's BlockAnalyzerState, if any
 //   TRANSPORT   serialized transport state
+// DESIGN.md §15 has the full column table. v3 is the only version
+// written or read: v1 and v2 files, left by older builds, are refused
+// with their version reported.
 //
-// Every section is independently CRC32C-framed (net/checksum.h), so a
-// torn write, a truncation, or a bit flip is *detected* — and the
+// A torn write, a truncation, or a bit flip is *detected* — and the
 // CheckpointStore below *recovers*: it rotates generation-numbered
 // hard-linked snapshots (<path>.g<N>, keep last K) and falls back to
 // the newest intact generation when the primary file is damaged,
 // quarantining the corrupt file as <name>.corrupt for post-mortem.
 //
-// v1 files (the pre-checksum format) are still readable, and so are
-// SLCK v3 columnar containers (storage/columnar.h) — the paper-scale
-// layout a campaign opts into with checkpoint_format = 3. The
-// fingerprint binds a checkpoint to its campaign:
+// The fingerprint binds a checkpoint to its campaign:
 // resuming with different targets, rounds, seed, or schedule is refused
 // rather than silently producing a franken-dataset. The generation
 // number is the checkpoint's own checkpoints_written count, so crashed
@@ -58,17 +51,8 @@
 
 namespace sleepwalk::core {
 
-/// Row-oriented checkpoint format version; bump on any layout change.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
-
-/// Columnar checkpoint format version (the storage/columnar.h container,
-/// kind kCheckpointKind). Same magic and trust discipline as v2 but the
-/// COMPLETED section becomes fixed-width per-block columns plus three
-/// concatenated blobs (series values, outage starts, outage episodes),
-/// so a paper-scale checkpoint loads through storage::Env::Map with one
-/// bulk copy per column instead of one decode per field per record.
-/// Campaigns opt in via SupervisorConfig::checkpoint_format = 3; the
-/// decoder handles v1, v2, and v3 transparently.
+/// Checkpoint format version (the storage/columnar.h container version,
+/// repeated in the META column); bump on any layout change.
 inline constexpr std::uint32_t kCheckpointVersionColumnar = 3;
 
 /// Everything a resumed campaign needs.
@@ -78,9 +62,8 @@ struct Checkpoint {
   report::ResilienceStats stats;
   std::vector<BlockAnalysis> completed;
   /// Final estimator state per completed block, parallel to `completed`.
-  /// Persisted by v3 containers only (v2's layout is frozen); empty
-  /// after a v1/v2 decode. Feeds the outcome's columnar BlockStore so a
-  /// v3-resumed campaign reproduces the estimator columns exactly.
+  /// Feeds the outcome's columnar BlockStore so a resumed campaign
+  /// reproduces the estimator columns exactly.
   std::vector<AvailabilityState> estimators;
   std::vector<std::uint32_t> quarantined;  ///< prefix indices abandoned
   std::uint64_t next_block = 0;  ///< index of the first unfinished target
@@ -120,42 +103,23 @@ std::uint64_t CampaignFingerprint(const std::vector<BlockTarget>& targets,
                                   std::int64_t n_rounds, std::uint64_t seed,
                                   const AnalyzerConfig& config);
 
-/// Serializes `checkpoint` as SLCK v2. The header's generation is the
-/// checkpoint's own stats.checkpoints_written.
+/// Serializes `checkpoint` as SLCK v3 (generation =
+/// stats.checkpoints_written). Deterministic: two equal checkpoints
+/// encode byte-identically, so resumed and uninterrupted timelines
+/// still converge to the same file.
 std::vector<std::uint8_t> EncodeCheckpoint(const Checkpoint& checkpoint);
 
-/// Serializes `checkpoint` as an SLCK v3 columnar container (generation
-/// = stats.checkpoints_written, like v2). Deterministic: two equal
-/// checkpoints encode byte-identically, so resumed and uninterrupted
-/// timelines still converge to the same file.
-std::vector<std::uint8_t> EncodeCheckpointColumnar(
-    const Checkpoint& checkpoint);
-
-/// Dispatches on `format` (kCheckpointVersion or
-/// kCheckpointVersionColumnar; anything else falls back to v2).
-std::vector<std::uint8_t> EncodeCheckpointAs(const Checkpoint& checkpoint,
-                                             std::uint32_t format);
-
-/// Decodes SLCK v1, v2, or v3 bytes; nullopt on bad magic, version
-/// mismatch, truncation, or any CRC failure (details in `report`).
+/// Decodes SLCK v3 bytes; nullopt on bad magic, any other version
+/// (`version_refused`, with the version in `report`), truncation, or
+/// any CRC failure (details in `report`).
 std::optional<Checkpoint> DecodeCheckpoint(
     std::span<const std::uint8_t> bytes,
     CheckpointLoadReport* report = nullptr);
-
-/// Atomically and durably writes `checkpoint` to `path` through `env`
-/// (tmp + fsync + rename + dir-fsync; the tmp file is unlinked on every
-/// error path and the Error carries the failing step's errno).
-storage::Error WriteCheckpoint(storage::Env& env, const std::string& path,
-                               const Checkpoint& checkpoint);
 
 /// Reads one checkpoint file; nullopt on any I/O or decode failure.
 std::optional<Checkpoint> ReadCheckpoint(
     storage::Env& env, const std::string& path,
     CheckpointLoadReport* report = nullptr);
-
-/// Convenience wrappers over the process-wide real filesystem.
-bool WriteCheckpoint(const std::string& path, const Checkpoint& checkpoint);
-std::optional<Checkpoint> ReadCheckpoint(const std::string& path);
 
 /// Generation-rotating checkpoint store.
 ///
@@ -166,12 +130,8 @@ std::optional<Checkpoint> ReadCheckpoint(const std::string& path);
 /// when it is corrupt — the self-healing path.
 class CheckpointStore {
  public:
-  /// `keep` <= 1 disables rotation (primary file only). `format` picks
-  /// the on-disk encoding Save() writes (kCheckpointVersion or
-  /// kCheckpointVersionColumnar); Load() reads either regardless, so a
-  /// campaign can switch formats across restarts.
-  CheckpointStore(storage::Env& env, std::string path, int keep,
-                  std::uint32_t format = kCheckpointVersion);
+  /// `keep` <= 1 disables rotation (primary file only).
+  CheckpointStore(storage::Env& env, std::string path, int keep);
 
   /// Durably persists `checkpoint` and rotates generations.
   storage::Error Save(const Checkpoint& checkpoint);
@@ -198,7 +158,6 @@ class CheckpointStore {
   std::string dir_;
   std::string base_;  ///< file name of `path_` within `dir_`
   int keep_;
-  std::uint32_t format_;
 };
 
 }  // namespace sleepwalk::core

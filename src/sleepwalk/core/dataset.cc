@@ -2,242 +2,43 @@
 
 #include <cstring>
 #include <numeric>
-#include <utility>
 
 #include "sleepwalk/core/dataset_columnar.h"
-#include "sleepwalk/net/checksum.h"
-#include "sleepwalk/storage/bytes.h"
-#include "sleepwalk/util/narrow.h"
+#include "sleepwalk/storage/columnar.h"
 
 namespace sleepwalk::core {
-
-namespace {
-
-using storage::ByteReader;
-using storage::ByteWriter;
-
-constexpr char kMagic[4] = {'S', 'L', 'P', 'W'};
-
-// Bytes between the magic and the header CRC: u32 version
-// + i64 round_seconds + i64 epoch_sec + u64 block_count.
-constexpr std::size_t kHeaderBytes = 4 + 8 + 8 + 8;
-
-// Reject implausible counts before reserving (corrupt headers).
-constexpr std::uint64_t kMaxCount = 1ull << 32;
-
-void PutRecord(ByteWriter& out, const BlockAnalysis& analysis) {
-  out.Put(analysis.block.Index());
-  out.Put(util::CheckedNarrow<std::uint16_t>(analysis.ever_active));
-  out.Put(util::BoolByte(analysis.probed));
-  out.Put(analysis.short_series.first_round);
-  out.Put(util::CheckedNarrow<std::uint32_t>(analysis.short_series.size()));
-  for (const double value : analysis.short_series.values) {
-    out.Put(static_cast<float>(value));
-  }
-}
-
-bool GetRecord(ByteReader& in, StoredSeries& stored) {
-  std::uint32_t index = 0;
-  std::uint16_t ever_active = 0;
-  std::uint8_t probed = 0;
-  std::uint32_t n_samples = 0;
-  if (!in.Get(index) || !in.Get(ever_active) || !in.Get(probed) ||
-      !in.Get(stored.series.first_round) || !in.Get(n_samples)) {
-    return false;
-  }
-  stored.block = net::Prefix24::FromIndex(index);
-  stored.ever_active = ever_active;
-  stored.probed = probed != 0;
-  stored.series.values.resize(n_samples);
-  for (auto& value : stored.series.values) {
-    float sample = 0.0F;
-    if (!in.Get(sample)) return false;
-    value = static_cast<double>(sample);
-  }
-  return true;
-}
-
-/// SLPW v1: the unframed stream. Reader sits just after the version.
-std::optional<Dataset> DecodeV1(ByteReader& in, DatasetLoadReport& report) {
-  Dataset dataset;
-  std::uint64_t block_count = 0;
-  if (!in.Get(dataset.round_seconds) || !in.Get(dataset.epoch_sec) ||
-      !in.Get(block_count) || block_count > kMaxCount) {
-    report.corrupt_records = 1;
-    report.detail = "v1 header truncated or implausible";
-    return std::nullopt;
-  }
-  report.records_expected = block_count;
-  dataset.blocks.reserve(block_count);
-  for (std::uint64_t i = 0; i < block_count; ++i) {
-    StoredSeries stored;
-    if (!GetRecord(in, stored)) {
-      report.corrupt_records = 1;
-      report.detail = "v1 record " + std::to_string(i) + " truncated";
-      return std::nullopt;
-    }
-    dataset.blocks.push_back(std::move(stored));
-  }
-  return dataset;
-}
-
-/// Shared v2 walk; `tolerant` decides whether a damaged record kills the
-/// load or is skipped and counted.
-std::optional<Dataset> DecodeV2(std::span<const std::uint8_t> bytes,
-                                ByteReader& in, DatasetLoadReport& report,
-                                bool tolerant) {
-  Dataset dataset;
-  std::uint64_t block_count = 0;
-  std::uint32_t header_crc = 0;
-  if (!in.Get(dataset.round_seconds) || !in.Get(dataset.epoch_sec) ||
-      !in.Get(block_count) || !in.Get(header_crc)) {
-    report.corrupt_records = 1;
-    report.detail = "truncated header";
-    return std::nullopt;
-  }
-  if (bytes.size() < 4 + kHeaderBytes ||
-      net::Crc32cOf(bytes.subspan(4, kHeaderBytes)) != header_crc) {
-    report.corrupt_records = 1;
-    report.detail = "header CRC mismatch";
-    return std::nullopt;
-  }
-  if (block_count > kMaxCount) {
-    report.corrupt_records = 1;
-    report.detail = "implausible block count";
-    return std::nullopt;
-  }
-  report.records_expected = block_count;
-
-  const auto note = [&report](std::string what) {
-    ++report.corrupt_records;
-    if (report.detail.empty()) report.detail = std::move(what);
-  };
-
-  dataset.blocks.reserve(block_count);
-  for (std::uint64_t i = 0; i < block_count; ++i) {
-    std::uint32_t length = 0;
-    std::uint32_t crc = 0;
-    if (!in.Get(length) || !in.Get(crc) || length > in.remaining()) {
-      // The frame chain is broken; later records are not locatable. The
-      // remnant belongs to this one broken frame, not to a second
-      // "trailing bytes" defect.
-      note("record " + std::to_string(i) + " frame truncated");
-      if (tolerant) {
-        in.Skip(in.remaining());
-        break;
-      }
-      return std::nullopt;
-    }
-    const auto payload = in.Rest().first(length);
-    in.Skip(length);
-    if (net::Crc32cOf(payload) != crc) {
-      note("record " + std::to_string(i) + " CRC mismatch");
-      if (tolerant) continue;
-      return std::nullopt;
-    }
-    ByteReader record{payload};
-    StoredSeries stored;
-    if (!GetRecord(record, stored) || record.remaining() != 0) {
-      note("record " + std::to_string(i) + " malformed");
-      if (tolerant) continue;
-      return std::nullopt;
-    }
-    dataset.blocks.push_back(std::move(stored));
-  }
-  if (in.remaining() != 0) {
-    note("trailing bytes after last record");
-    if (!tolerant) return std::nullopt;
-  }
-  return dataset;
-}
-
-std::optional<Dataset> Decode(std::span<const std::uint8_t> bytes,
-                              DatasetLoadReport& report, bool tolerant) {
-  report.found = true;
-  ByteReader in{bytes};
-  char magic[4] = {};
-  if (!in.GetBytes(reinterpret_cast<std::uint8_t*>(magic), sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    report.bad_magic = true;
-    report.detail = "bad magic";
-    return std::nullopt;
-  }
-  if (!in.Get(report.version)) {
-    report.corrupt_records = 1;
-    report.detail = "truncated before version";
-    return std::nullopt;
-  }
-  if (report.version == 1) return DecodeV1(in, report);
-  if (report.version == storage::kColumnarVersion) {
-    // SLPW v3 interop: parse the columnar container (all-or-nothing —
-    // per-column CRCs leave nothing to salvage record-by-record, so
-    // strict and tolerant coincide) and materialize per-block vectors.
-    ColumnarDatasetView view;
-    if (auto error = ParseDatasetColumnar(bytes, view); !error.ok()) {
-      report.corrupt_records = 1;
-      report.detail = error.detail;
-      return std::nullopt;
-    }
-    report.records_expected = view.size();
-    return MaterializeDataset(view);
-  }
-  if (report.version != kDatasetVersion) {
-    report.version_refused = true;
-    report.detail = "unsupported version";
-    return std::nullopt;
-  }
-  return DecodeV2(bytes, in, report, tolerant);
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> EncodeDataset(std::span<const BlockAnalysis> analyses,
-                                        std::int64_t round_seconds,
-                                        std::int64_t epoch_sec) {
-  ByteWriter out;
-  out.PutBytes(std::span{reinterpret_cast<const std::uint8_t*>(kMagic),
-                         sizeof(kMagic)});
-  ByteWriter header;
-  // Exact header size up front: one u32 + two i64 + one u64. Also
-  // placates GCC 12's -Wstringop-overflow, which at -O3 loses track of
-  // vector regrowth across consecutive Put() calls.
-  header.Reserve(sizeof(std::uint32_t) + 3 * sizeof(std::uint64_t));
-  header.Put(kDatasetVersion);
-  header.Put(round_seconds);
-  header.Put(epoch_sec);
-  header.Put(static_cast<std::uint64_t>(analyses.size()));
-  out.PutBytes(header.bytes());
-  out.Put(net::Crc32cOf(header.bytes()));
-
-  ByteWriter record;
-  for (const auto& analysis : analyses) {
-    record = ByteWriter{};
-    PutRecord(record, analysis);
-    out.Put(util::CheckedNarrow<std::uint32_t>(record.size()));
-    out.Put(net::Crc32cOf(record.bytes()));
-    out.PutBytes(record.bytes());
-  }
-  return out.Take();
-}
 
 std::optional<Dataset> DecodeDataset(std::span<const std::uint8_t> bytes,
                                      DatasetLoadReport* report) {
   DatasetLoadReport scratch;
-  return Decode(bytes, report != nullptr ? *report : scratch, false);
-}
-
-std::optional<Dataset> DecodeDatasetTolerant(
-    std::span<const std::uint8_t> bytes, DatasetLoadReport* report) {
-  DatasetLoadReport scratch;
-  return Decode(bytes, report != nullptr ? *report : scratch, true);
-}
-
-storage::Error WriteDataset(storage::Env& env, const std::string& path,
-                            std::span<const BlockAnalysis> analyses,
-                            std::int64_t round_seconds,
-                            std::int64_t epoch_sec) {
-  return storage::AtomicWrite(
-      env, path, EncodeDataset(analyses, round_seconds, epoch_sec));
+  DatasetLoadReport& out = report != nullptr ? *report : scratch;
+  out.found = true;
+  if (bytes.size() < 4 || std::memcmp(bytes.data(), "SLPW", 4) != 0) {
+    out.bad_magic = true;
+    out.detail = "bad magic";
+    return std::nullopt;
+  }
+  const auto version = storage::PeekContainerVersion(bytes, "SLPW");
+  if (!version) {
+    out.corrupt_records = 1;
+    out.detail = "truncated before version";
+    return std::nullopt;
+  }
+  out.version = *version;
+  if (out.version != storage::kColumnarVersion) {
+    // v1 and v2 files, left by older builds, and any future version.
+    out.version_refused = true;
+    out.detail = "unsupported version " + std::to_string(out.version);
+    return std::nullopt;
+  }
+  ColumnarDatasetView view;
+  if (auto error = ParseDatasetColumnar(bytes, view); !error.ok()) {
+    out.corrupt_records = 1;
+    out.detail = error.detail;
+    return std::nullopt;
+  }
+  out.records_expected = view.size();
+  return MaterializeDataset(view);
 }
 
 std::optional<Dataset> ReadDataset(storage::Env& env, const std::string& path,
@@ -251,14 +52,6 @@ std::optional<Dataset> ReadDataset(storage::Env& env, const std::string& path,
     return std::nullopt;
   }
   return DecodeDataset(bytes, report);
-}
-
-bool WriteDataset(const std::string& path,
-                  std::span<const BlockAnalysis> analyses,
-                  std::int64_t round_seconds, std::int64_t epoch_sec) {
-  return WriteDataset(storage::RealEnvInstance(), path, analyses,
-                      round_seconds, epoch_sec)
-      .ok();
 }
 
 std::optional<Dataset> ReadDataset(const std::string& path) {

@@ -5,21 +5,11 @@
 // property: a measured campaign can be written to a compact binary file
 // and re-analyzed later without re-probing.
 //
-// Format "SLPW" v2 (little-endian; encoded in memory via
-// storage/bytes.h, moved atomically by storage/file.h):
-//   magic "SLPW"
-//   | u32 version | i64 round_seconds | i64 epoch_sec | u64 block_count
-//   | u32 header_crc32c                  (over the 28 bytes after magic)
-//   then per block one framed record:
-//   u32 payload_len | u32 payload_crc32c | payload
-//   where payload is the v1 record:
-//   u32 prefix_index | u16 ever_active | u8 probed | i64 first_round
-//   | u32 n_samples | n_samples * f32 (the cleaned A-hat_s series)
-//
-// The per-record CRC32C turns silent bit rot into a detected, *localized*
-// failure: the strict loader refuses the file, the tolerant loader skips
-// the damaged record(s) and reports how many were lost. v1 files (no
-// framing, no checksums) are still readable; the writer emits v2 only.
+// The file format is SLPW v3 (core/dataset_columnar.h), the only
+// version written or read; v1 and v2 files, left by older builds, are
+// refused with their version reported. This header holds the per-block
+// view of a loaded dataset and the stored-series analysis chain that
+// both the per-block and the mapped (zero-copy) reader share.
 #ifndef SLEEPWALK_CORE_DATASET_H_
 #define SLEEPWALK_CORE_DATASET_H_
 
@@ -36,9 +26,6 @@
 
 namespace sleepwalk::core {
 
-/// Dataset format version; bump on any layout change.
-inline constexpr std::uint32_t kDatasetVersion = 2;
-
 /// One block's stored measurement.
 struct StoredSeries {
   net::Prefix24 block;
@@ -54,49 +41,29 @@ struct Dataset {
   std::vector<StoredSeries> blocks;
 };
 
-/// What a dataset decode saw (mirrors CheckpointLoadReport; printed by
-/// slck_fsck and asserted by the robustness tests).
+/// What a dataset decode saw (mirrors CheckpointLoadReport; asserted by
+/// the robustness tests).
 struct DatasetLoadReport {
   bool found = false;          ///< file existed and was readable
   bool bad_magic = false;
   std::uint32_t version = 0;   ///< header version, when readable
   bool version_refused = false;
-  int corrupt_records = 0;     ///< CRC failures / truncations seen
-  std::uint64_t records_expected = 0;  ///< header block_count
+  int corrupt_records = 0;     ///< 1 when the container failed to parse
+  std::uint64_t records_expected = 0;  ///< blocks in an intact file
   std::string detail;          ///< first failure, human-readable
 };
 
-/// Serializes analyses as SLPW v2.
-std::vector<std::uint8_t> EncodeDataset(std::span<const BlockAnalysis> analyses,
-                                        std::int64_t round_seconds = 660,
-                                        std::int64_t epoch_sec = 0);
-
-/// Decodes SLPW v1 or v2 bytes. Strict: any corrupt or truncated record
-/// fails the whole load (details in `report`).
+/// Decodes SLPW v3 bytes into per-block vectors (ParseDatasetColumnar
+/// + MaterializeDataset). Strict: any damage fails the whole load, and
+/// any other version is refused (details in `report`).
 std::optional<Dataset> DecodeDataset(std::span<const std::uint8_t> bytes,
                                      DatasetLoadReport* report = nullptr);
-
-/// Salvaging decode (v2 only benefits; v1 has no record framing): CRC-
-/// damaged records are skipped and counted, intact ones are returned.
-/// nullopt only when the header itself is unusable.
-std::optional<Dataset> DecodeDatasetTolerant(
-    std::span<const std::uint8_t> bytes, DatasetLoadReport* report = nullptr);
-
-/// Atomically and durably writes the dataset through `env`.
-storage::Error WriteDataset(storage::Env& env, const std::string& path,
-                            std::span<const BlockAnalysis> analyses,
-                            std::int64_t round_seconds = 660,
-                            std::int64_t epoch_sec = 0);
 
 /// Strict read through `env`; nullopt on any I/O or decode failure.
 std::optional<Dataset> ReadDataset(storage::Env& env, const std::string& path,
                                    DatasetLoadReport* report = nullptr);
 
-/// Convenience wrappers over the process-wide real filesystem.
-bool WriteDataset(const std::string& path,
-                  std::span<const BlockAnalysis> analyses,
-                  std::int64_t round_seconds = 660,
-                  std::int64_t epoch_sec = 0);
+/// ReadDataset over the process-wide real filesystem.
 std::optional<Dataset> ReadDataset(const std::string& path);
 
 /// Re-analyzes a stored series: stationarity + diurnal classification,
@@ -112,10 +79,10 @@ void Reanalyze(const StoredSeries& stored, const AnalyzerConfig& config,
                AnalysisScratch& scratch, BlockAnalysis& out);
 
 /// THE stored-series analysis chain (WholeDays -> mean -> stationarity
-/// -> classify) over caller-owned samples. Both dataset formats
-/// delegate here — SLPW v2 from its decoded vectors, SLPW v3 straight
-/// off the mapped f32 column — which is what makes their re-analyses
-/// bitwise identical.
+/// -> classify) over caller-owned samples. Both dataset readers
+/// delegate here — the loaded Dataset from its widened vectors, the
+/// mapped view straight off the f32 column — which is what makes their
+/// re-analyses bitwise identical.
 void ReanalyzeSeries(net::Prefix24 block, int ever_active, bool probed,
                      std::int64_t first_round, std::span<const double> values,
                      const AnalyzerConfig& config, AnalysisScratch& scratch,

@@ -20,8 +20,8 @@ constexpr std::uint32_t kColCount = 6;        // u32[n]
 constexpr std::uint32_t kColOffset = 7;       // u64[n]
 constexpr std::uint32_t kColValues = 8;       // f32[samples]
 
-// Same implausibility ceiling the SLPW v2 decoder applies to its header
-// block count: reject before reserving.
+// Sanity bound on the META counts: a corrupt header must not drive a
+// multi-GB reservation.
 constexpr std::uint64_t kMaxCount = 1ull << 32;
 
 storage::Error DatasetError(const std::string& path, std::string detail) {
@@ -57,8 +57,7 @@ auto WithDatasetWriter(std::span<const BlockAnalysis> analyses,
     offset[i] = samples;
     samples += count[i];
   }
-  // One f32 conversion pass; v2 records narrow samples the same way, so
-  // re-analysis through either format sees identical bits.
+  // One f32 conversion pass: every reader widens these same bits back.
   std::vector<float> values;
   values.reserve(samples);
   for (const auto& a : analyses) {

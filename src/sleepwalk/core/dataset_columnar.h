@@ -1,9 +1,6 @@
-// SLPW v3: the columnar dataset format for zero-copy re-analysis.
+// SLPW v3: the dataset format, built for zero-copy re-analysis.
 //
-// SLPW v2 (core/dataset.h) frames one record per block; loading a
-// million-block dataset through it costs a full decode pass and one
-// heap vector per block before the first series is usable. v3 reuses
-// the SLCK/SLPW v3 container engine (storage/columnar.h): per-block
+// It reuses the SLCK/SLPW v3 container engine (storage/columnar.h): per-block
 // attributes are fixed-width columns, every cleaned A-hat_s series is
 // concatenated into ONE f32 values column addressed by per-block
 // offset/count columns, and the whole file is CRC'd per column. A
@@ -22,11 +19,11 @@
 //                       overlap/misalignment fails closed)
 //   VALUES      f32[samples]  all series, concatenated
 //
-// Values stay f32 like v2 records, so re-analysis of the same campaign
-// through either format is bitwise identical (dataset_columnar_test).
-// v2 interop: DecodeDataset/ReadDataset sniff the version and
-// materialize a v3 file into the same Dataset struct; the writer emits
-// whichever format the caller picks.
+// Values are stored as f32. Re-analysis straight off the mapping and
+// through the per-block Dataset (DecodeDataset/ReadDataset, which
+// materialize a v3 file) is bitwise identical (dataset_columnar_test).
+// v3 is the only version written or read: a v1 or v2 file from an older
+// build is refused.
 #ifndef SLEEPWALK_CORE_DATASET_COLUMNAR_H_
 #define SLEEPWALK_CORE_DATASET_COLUMNAR_H_
 
@@ -93,14 +90,14 @@ storage::Error MapDatasetColumnar(storage::Env& env, const std::string& path,
 
 /// Re-analyzes block i straight off the view (f32 samples widened into
 /// `scratch.samples`, then the exact Reanalyze stage chain). Bitwise
-/// identical to Reanalyze() of the same block loaded via SLPW v2.
+/// identical to Reanalyze() of the same block's materialized series.
 void ReanalyzeColumnar(const ColumnarDatasetView& view, std::size_t i,
                        const AnalyzerConfig& config, AnalysisScratch& scratch,
                        BlockAnalysis& out);
 
-/// Materializes a v3 view into the v2 Dataset struct (interop for
-/// consumers that want per-block vectors; the scale path should sweep
-/// the view directly instead).
+/// Materializes a view into the per-block Dataset struct (for consumers
+/// that want per-block vectors; the scale path should sweep the view
+/// directly instead).
 Dataset MaterializeDataset(const ColumnarDatasetView& view);
 
 }  // namespace sleepwalk::core

@@ -384,8 +384,7 @@ CampaignOutcome RunParallelCampaign(std::vector<BlockTarget> targets,
                                deterministic
                                    ? storage::InstrumentedEnv::NowNsFn{}
                                    : MonotonicNowNs};
-  CheckpointStore store{env, config.checkpoint_path,
-                        config.checkpoint_keep, config.checkpoint_format};
+  CheckpointStore store{env, config.checkpoint_path, config.checkpoint_keep};
   // Wall nanoseconds spent inside checkpoint saves — the numerator of the
   // live durability-tax readout in /statusz.
   std::atomic<std::uint64_t> checkpoint_wall_ns{0};

@@ -148,7 +148,7 @@ struct ColumnarDatasetView;  // core/dataset_columnar.h
 /// aggregates DiurnalCounts — no per-block vectors or output analyses
 /// are materialized, so a 1M-block sweep stays O(workers) in memory.
 /// Counts match ReanalyzeDataset + ClassifyAnalysis of the same data
-/// loaded via SLPW v2 exactly.
+/// loaded through ReadDataset exactly.
 DiurnalCounts ReanalyzeDatasetColumnar(const ColumnarDatasetView& view,
                                        const AnalyzerConfig& config = {},
                                        int workers = 0);

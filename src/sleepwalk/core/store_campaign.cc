@@ -148,7 +148,7 @@ StoreCampaignOutcome RunStoreCampaign(BlockStore& store,
     }
 
     if (checkpointing) {
-      ++checkpoints_written;  // write-ahead self-count, like SLCK v2
+      ++checkpoints_written;  // write-ahead self-count, like a checkpoint
       if (auto error = store.WriteSnapshot(env, config.checkpoint_path,
                                            fingerprint, rounds_done,
                                            checkpoints_written);

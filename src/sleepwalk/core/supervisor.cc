@@ -82,8 +82,7 @@ CampaignOutcome RunResilientCampaign(std::vector<BlockTarget> targets,
   storage::InstrumentedEnv env{
       base_env, obs,
       deterministic ? storage::InstrumentedEnv::NowNsFn{} : MonotonicNowNs};
-  CheckpointStore store{env, config.checkpoint_path,
-                        config.checkpoint_keep, config.checkpoint_format};
+  CheckpointStore store{env, config.checkpoint_path, config.checkpoint_keep};
 
   // Wall time spent inside checkpoint writes, for the live
   // durability-tax readout. Read only by the status provider below —

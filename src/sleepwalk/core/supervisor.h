@@ -74,13 +74,6 @@ struct SupervisorConfig {
   /// self-heals from the newest intact generation. <= 1 keeps only the
   /// primary file (no rotation, no self-healing).
   int checkpoint_keep = 3;
-  /// On-disk checkpoint encoding: kCheckpointVersionColumnar (3, the
-  /// page-aligned columnar container loaded zero-copy through
-  /// storage::Env::Map — the right choice at paper scale, and the
-  /// default) or kCheckpointVersion (2, row-oriented; campaigns pinned
-  /// to the legacy layout set it explicitly). Resume reads either
-  /// format regardless of this setting.
-  std::uint32_t checkpoint_format = kCheckpointVersionColumnar;
   /// Filesystem seam all persistence goes through; null means the real
   /// POSIX filesystem. Tests inject storage::MemEnv or storage::FaultyEnv
   /// here to prove crash safety.
@@ -135,7 +128,7 @@ struct CampaignOutcome {
   /// verdict and final estimator state (core/block_store.h), sized to
   /// the full target list (rows past analyses.size() are defaults when
   /// the campaign stopped early). Estimator columns for resumed blocks
-  /// are exact when the checkpoint was v3 (v2 never persisted them).
+  /// are exact: the checkpoint persists them.
   BlockStore store;
 };
 

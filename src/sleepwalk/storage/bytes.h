@@ -9,8 +9,8 @@
 // a truncated or hostile file fails closed instead of resizing vectors
 // from garbage lengths.
 //
-// Host is little-endian on every supported target (documented in
-// core/dataset.h since v1); a portable build would byte-swap here.
+// Host is little-endian on every supported target; a portable build
+// would byte-swap here.
 #ifndef SLEEPWALK_STORAGE_BYTES_H_
 #define SLEEPWALK_STORAGE_BYTES_H_
 
@@ -37,18 +37,6 @@ class ByteWriter {
 
   void PutBytes(std::span<const std::uint8_t> data) {
     buffer_.insert(buffer_.end(), data.begin(), data.end());
-  }
-
-  /// Whole scalar array in one memcpy. Per-sample Put() calls dominated
-  /// checkpoint encode cost for long availability series; the layout is
-  /// identical (host is little-endian, see header comment).
-  template <typename T>
-  void PutArray(std::span<const T> values) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "PutArray() serializes plain scalar types");
-    const auto offset = buffer_.size();
-    buffer_.resize(offset + values.size_bytes());
-    std::memcpy(buffer_.data() + offset, values.data(), values.size_bytes());
   }
 
   /// Pre-sizes the buffer (capacity only). Encoders that know their
@@ -91,28 +79,6 @@ class ByteReader {
     std::memcpy(out, data_.data() + pos_, n);
     pos_ += n;
     return true;
-  }
-
-  /// Whole scalar array in one memcpy (bulk counterpart of Get()).
-  /// Fails closed without consuming when fewer than `count` elements
-  /// remain, exactly like an element-wise Get() loop would.
-  template <typename T>
-  bool GetArray(T* out, std::size_t count) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "GetArray() deserializes plain scalar types");
-    if ((data_.size() - pos_) / sizeof(T) < count) {
-      pos_ = data_.size();
-      failed_ = true;
-      return false;
-    }
-    std::memcpy(out, data_.data() + pos_, count * sizeof(T));
-    pos_ += count * sizeof(T);
-    return true;
-  }
-
-  /// Remaining bytes as a subspan (without consuming them).
-  std::span<const std::uint8_t> Rest() const noexcept {
-    return data_.subspan(pos_);
   }
 
   bool Skip(std::size_t n) {

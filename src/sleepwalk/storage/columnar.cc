@@ -168,13 +168,7 @@ Error ColumnarReader::Parse(std::span<const std::uint8_t> file,
     if (version >= 1 && version < kColumnarVersion) {
       detail = "v";
       detail += std::to_string(version);
-      detail +=
-          " container refused: this is the v3 columnar reader; decode "
-          "with the v";
-      detail += std::to_string(version);
-      detail +=
-          " row format instead (or re-write the file with "
-          "checkpoint_format=3)";
+      detail += " container refused: only v3 is readable";
     } else {
       detail = "unsupported version ";
       detail += std::to_string(version);
@@ -253,8 +247,8 @@ Error ColumnarReader::Parse(std::span<const std::uint8_t> file,
   // the header, directory, and payloads must be zero padding ending
   // exactly where the last payload does. CRCs alone would leave padding
   // unprotected; this closes the gap so *any* single-byte corruption of
-  // a well-formed file is detected (the contract the v2 robustness
-  // tests established and the v3 hostile-input tests keep).
+  // a well-formed file is detected (the contract the robustness and
+  // hostile-input tests pin).
   std::vector<std::pair<std::uint64_t, std::uint64_t>> extents;
   extents.reserve(columns_.size());
   for (const ColumnarColumn& column : columns_) {

@@ -1,15 +1,13 @@
 // Page-aligned columnar container: the SLCK/SLPW v3 on-disk engine.
 //
-// v2 frames row-oriented sections (storage/bytes.h streams, one record
-// at a time); loading a million-block checkpoint through it costs a
-// full decode pass before the first block is usable. v3 keeps the same
-// trust discipline — magic, version, CRC32C over every payload — but
-// lays the state out as fixed-width columns so a reader can hand out
-// *typed spans straight into the mapped file* (storage::Env::Map) and
-// the block store (core/block_store.h) can adopt them with one memcpy
-// per column instead of one decode per field per row.
+// The container keeps a strict trust discipline — magic, version,
+// CRC32C over every payload — and lays the state out as fixed-width
+// columns so a reader can hand out *typed spans straight into the
+// mapped file* (storage::Env::Map) and the block store
+// (core/block_store.h) can adopt them with one memcpy per column
+// instead of one decode per field per row.
 //
-// File layout (all integers little-endian, like v2):
+// File layout (all integers little-endian):
 //
 //   header  (36 bytes)
 //     0   magic[4]        caller-supplied ("SLCK", "SLPW")
@@ -26,8 +24,8 @@
 //   column payloads, each offset 64-byte aligned, zero padding between
 //
 // The reader validates *everything* before exposing a byte: magic,
-// version (a v2 file is refused with a distinct remediation message,
-// not parsed as garbage), header CRC, directory CRC, and per column
+// version (a v1 or v2 file from an older build is refused by name, not
+// parsed as garbage), header CRC, directory CRC, and per column
 // that byte_len is a whole number of elements and rows == byte_len /
 // elem_width (division, so a forged row count cannot wrap a product
 // into agreement), the offset is aligned and inside the file, and the
@@ -219,9 +217,9 @@ class ColumnarReader {
 };
 
 /// Sniffs the container version at bytes [4, 8) when `file` starts with
-/// `magic` (shared by the v2 and v3 headers, so format dispatch and
-/// slck_fsck use this before committing to a decoder). nullopt when the
-/// file is too short or the magic differs.
+/// `magic` (every SLCK/SLPW version put it there, so decoders and
+/// slck_fsck use this to name a refused version). nullopt when the file
+/// is too short or the magic differs.
 std::optional<std::uint32_t> PeekContainerVersion(
     std::span<const std::uint8_t> file, std::string_view magic) noexcept;
 

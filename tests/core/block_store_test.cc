@@ -279,7 +279,7 @@ TEST(BlockStore, SnapshotRefusesWrongFingerprintAndKind) {
   // though it shares the SLCK magic.
   core::Checkpoint checkpoint;
   checkpoint.fingerprint = 111;
-  const auto ckpt_image = core::EncodeCheckpointColumnar(checkpoint);
+  const auto ckpt_image = core::EncodeCheckpoint(checkpoint);
   const auto wrong_kind =
       other.DecodeSnapshot(ckpt_image, 111, rounds_done, checkpoints_written);
   EXPECT_FALSE(wrong_kind.ok());

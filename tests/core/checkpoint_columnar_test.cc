@@ -1,11 +1,8 @@
-// SLCK v3 columnar checkpoints (core/checkpoint.h,
-// SupervisorConfig::checkpoint_format = 3): the paper-scale encoding
-// must uphold the exact robustness contract the v2 suite established —
-// deterministic encode, decode→re-encode byte identity, every
-// single-byte corruption and truncation detected — plus the v3-only
-// guarantees: estimator columns persisted per completed block, and
-// kill/resume byte identity through the zero-copy Env::Map load path,
-// even when the formats differ across restarts.
+// SLCK v3 columnar checkpoints (core/checkpoint.h): deterministic
+// encode, decode→re-encode byte identity, every single-byte corruption
+// and truncation detected, estimator columns persisted per completed
+// block, and kill/resume byte identity through the zero-copy Env::Map
+// load path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -42,10 +39,9 @@ std::vector<core::BlockTarget> TargetsOf(const sim::SimWorld& world) {
   return targets;
 }
 
-core::SupervisorConfig ColumnarConfig(storage::Env& env) {
+core::SupervisorConfig ConfigFor(storage::Env& env) {
   core::SupervisorConfig config;
   config.checkpoint_path = kPath;
-  config.checkpoint_format = core::kCheckpointVersionColumnar;
   config.env = &env;
   return config;
 }
@@ -66,7 +62,7 @@ std::vector<std::uint8_t> FileBytes(storage::Env& env,
 
 TEST(CheckpointColumnar, DecodeReencodeIsByteIdentical) {
   storage::MemEnv env;
-  const auto outcome = RunOnce(SmallWorld(), ColumnarConfig(env));
+  const auto outcome = RunOnce(SmallWorld(), ConfigFor(env));
   ASSERT_GT(outcome.stats.checkpoints_written, 0u);
 
   const auto bytes = FileBytes(env, kPath);
@@ -76,13 +72,10 @@ TEST(CheckpointColumnar, DecodeReencodeIsByteIdentical) {
   EXPECT_EQ(report.version, core::kCheckpointVersionColumnar);
   EXPECT_EQ(report.corrupt_sections, 0);
   EXPECT_EQ(report.generation, checkpoint->stats.checkpoints_written);
-  EXPECT_EQ(core::EncodeCheckpointColumnar(*checkpoint), bytes);
-  EXPECT_EQ(core::EncodeCheckpointAs(*checkpoint,
-                                     core::kCheckpointVersionColumnar),
-            bytes);
+  EXPECT_EQ(core::EncodeCheckpoint(*checkpoint), bytes);
 
-  // v3 carries per-completed-block estimator state, parallel to
-  // `completed` — the column v2's frozen layout could never hold.
+  // The file carries per-completed-block estimator state, parallel to
+  // `completed`.
   EXPECT_EQ(checkpoint->estimators.size(), checkpoint->completed.size());
   ASSERT_FALSE(checkpoint->completed.empty());
   bool any_rounds = false;
@@ -94,7 +87,7 @@ TEST(CheckpointColumnar, DecodeReencodeIsByteIdentical) {
 
 TEST(CheckpointColumnar, EverySingleByteCorruptionIsDetected) {
   storage::MemEnv env;
-  RunOnce(SmallWorld(), ColumnarConfig(env));
+  RunOnce(SmallWorld(), ConfigFor(env));
   const auto bytes = FileBytes(env, kPath);
   ASSERT_FALSE(bytes.empty());
 
@@ -113,7 +106,7 @@ TEST(CheckpointColumnar, EverySingleByteCorruptionIsDetected) {
 
 TEST(CheckpointColumnar, EveryTruncationIsDetected) {
   storage::MemEnv env;
-  RunOnce(SmallWorld(), ColumnarConfig(env));
+  RunOnce(SmallWorld(), ConfigFor(env));
   const auto bytes = FileBytes(env, kPath);
   ASSERT_FALSE(bytes.empty());
 
@@ -124,37 +117,15 @@ TEST(CheckpointColumnar, EveryTruncationIsDetected) {
   }
 }
 
-TEST(CheckpointColumnar, BothFormatsDecodeToTheSameCampaignState) {
-  storage::MemEnv env;
-  RunOnce(SmallWorld(), ColumnarConfig(env));
-  const auto v3_bytes = FileBytes(env, kPath);
-  const auto v3 = core::DecodeCheckpoint(v3_bytes);
-  ASSERT_TRUE(v3.has_value());
-
-  // Round-trip the same logical checkpoint through v2: everything v2
-  // can represent must survive; only the estimator columns are v3-only.
-  const auto v2_bytes = core::EncodeCheckpointAs(*v3, core::kCheckpointVersion);
-  core::CheckpointLoadReport report;
-  const auto v2 = core::DecodeCheckpoint(v2_bytes, &report);
-  ASSERT_TRUE(v2.has_value()) << report.detail;
-  EXPECT_EQ(report.version, core::kCheckpointVersion);
-  EXPECT_TRUE(v2->estimators.empty());
-
-  auto with_estimators = *v2;
-  with_estimators.estimators = v3->estimators;
-  EXPECT_EQ(core::EncodeCheckpointColumnar(with_estimators), v3_bytes)
-      << "v2 dropped state the v3 container carries (beyond estimators)";
-}
-
 TEST(CheckpointColumnar, KilledCampaignResumesByteIdentically) {
   const auto world = SmallWorld();
 
   storage::MemEnv clean_env;
-  const auto clean = RunOnce(world, ColumnarConfig(clean_env));
+  const auto clean = RunOnce(world, ConfigFor(clean_env));
   const auto clean_file = FileBytes(clean_env, kPath);
 
   storage::MemEnv env;
-  auto config = ColumnarConfig(env);
+  auto config = ConfigFor(env);
   config.stop_after_rounds = 100;
   const auto killed = RunOnce(world, config);
   EXPECT_TRUE(killed.stopped_early);
@@ -178,43 +149,12 @@ TEST(CheckpointColumnar, KilledCampaignResumesByteIdentically) {
             clean_ckpt->stats.checkpoints_written + 1);
   final_ckpt->stats.checkpoints_written =
       clean_ckpt->stats.checkpoints_written;
-  EXPECT_EQ(core::EncodeCheckpointColumnar(*final_ckpt), clean_file);
+  EXPECT_EQ(core::EncodeCheckpoint(*final_ckpt), clean_file);
 
   // The columnar outcome mirror must also converge: estimator columns
-  // for blocks finished before the kill came back through the v3
-  // estimator columns, not defaults.
+  // for blocks finished before the kill came back through the
+  // checkpoint's estimator columns, not defaults.
   EXPECT_EQ(resumed.store.Digest(), clean.store.Digest());
-}
-
-TEST(CheckpointColumnar, FormatSwitchAcrossRestartsResumes) {
-  const auto world = SmallWorld();
-
-  // Uninterrupted v2 reference for the result bytes.
-  storage::MemEnv ref_env;
-  auto ref_config = ColumnarConfig(ref_env);
-  ref_config.checkpoint_format = core::kCheckpointVersion;
-  const auto reference = RunOnce(world, ref_config);
-
-  // Kill under v2, resume writing v3: Load() reads either format.
-  storage::MemEnv env;
-  auto config = ColumnarConfig(env);
-  config.checkpoint_format = core::kCheckpointVersion;
-  config.stop_after_rounds = 100;
-  RunOnce(world, config);
-
-  config.checkpoint_format = core::kCheckpointVersionColumnar;
-  config.stop_after_rounds = 0;
-  const auto resumed = RunOnce(world, config);
-  EXPECT_TRUE(resumed.resumed);
-  ASSERT_EQ(resumed.result.analyses.size(), reference.result.analyses.size());
-  EXPECT_EQ(resumed.result.counts.strict, reference.result.counts.strict);
-  EXPECT_EQ(resumed.result.counts.relaxed, reference.result.counts.relaxed);
-
-  core::CheckpointLoadReport report;
-  const auto final_file = core::DecodeCheckpoint(FileBytes(env, kPath),
-                                                 &report);
-  ASSERT_TRUE(final_file.has_value());
-  EXPECT_EQ(report.version, core::kCheckpointVersionColumnar);
 }
 
 TEST(CheckpointColumnar, LoadGoesThroughTheMapSeam) {
@@ -223,7 +163,7 @@ TEST(CheckpointColumnar, LoadGoesThroughTheMapSeam) {
   obs::Context context;
   context.metrics = &registry;
   storage::InstrumentedEnv env{mem, context};
-  auto config = ColumnarConfig(env);
+  auto config = ConfigFor(env);
   config.stop_after_rounds = 100;
   RunOnce(SmallWorld(), config);
 

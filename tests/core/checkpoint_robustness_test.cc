@@ -1,10 +1,14 @@
-// SLCK v2 robustness: every single-byte corruption and every truncation
-// of a checkpoint file must be detected; the CheckpointStore must
+// SLCK robustness: every single-byte corruption and every truncation
+// of a mid-block checkpoint (one carrying INFLIGHT analyzer state, which
+// a campaign's final checkpoint does not) must be detected, and its
+// decode must re-encode byte-identically; the CheckpointStore must
 // self-heal from retained generations; mixed-version splices must be
-// refused; v1 files must still read.
+// refused; v1 and v2 files from older builds must be refused, and a
+// campaign that finds one starts fresh.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -14,6 +18,7 @@
 #include "sleepwalk/net/checksum.h"
 #include "sleepwalk/sim/world.h"
 #include "sleepwalk/storage/bytes.h"
+#include "sleepwalk/storage/columnar.h"
 #include "sleepwalk/storage/file.h"
 
 namespace sleepwalk {
@@ -41,9 +46,6 @@ core::SupervisorConfig ConfigFor(storage::Env& env, int keep = 3) {
   core::SupervisorConfig config;
   config.checkpoint_path = kPath;
   config.checkpoint_keep = keep;
-  // This suite probes the v2 row format specifically (v3 containers get
-  // the same treatment in checkpoint_columnar_test.cc).
-  config.checkpoint_format = core::kCheckpointVersion;
   config.env = &env;
   return config;
 }
@@ -80,25 +82,36 @@ void PatchU32(std::vector<std::uint8_t>& bytes, std::size_t offset,
   }
 }
 
-TEST(CheckpointRobustness, DecodeReencodeIsByteIdentical) {
+/// The checkpoint a campaign stopped mid-block leaves behind: completed
+/// analyses plus the open block's analyzer state in INFLIGHT.
+std::vector<std::uint8_t> MidBlockCheckpoint() {
+  const auto world = SmallWorld();
   storage::MemEnv env;
-  const auto outcome = RunOnce(SmallWorld(), env);
-  ASSERT_GT(outcome.stats.checkpoints_written, 0u);
+  auto config = ConfigFor(env);
+  config.stop_after_rounds = 100;  // 30 rounds per block: inside block 3
+  auto transport = world.MakeTransport(3);
+  const auto outcome =
+      core::RunResilientCampaign(TargetsOf(world), *transport, 30, config);
+  EXPECT_TRUE(outcome.stopped_early);
+  return FileBytes(env, kPath);
+}
 
-  const auto bytes = FileBytes(env, kPath);
+TEST(CheckpointRobustness, DecodeReencodeIsByteIdentical) {
+  const auto bytes = MidBlockCheckpoint();
   core::CheckpointLoadReport report;
   const auto checkpoint = core::DecodeCheckpoint(bytes, &report);
   ASSERT_TRUE(checkpoint.has_value()) << report.detail;
-  EXPECT_EQ(report.version, core::kCheckpointVersion);
+  EXPECT_EQ(report.version, core::kCheckpointVersionColumnar);
   EXPECT_EQ(report.corrupt_sections, 0);
   EXPECT_EQ(report.generation, checkpoint->stats.checkpoints_written);
+  EXPECT_TRUE(checkpoint->has_inflight);
+  EXPECT_FALSE(checkpoint->inflight.raw.empty());
+  EXPECT_FALSE(checkpoint->completed.empty());
   EXPECT_EQ(core::EncodeCheckpoint(*checkpoint), bytes);
 }
 
 TEST(CheckpointRobustness, EverySingleByteCorruptionIsDetected) {
-  storage::MemEnv env;
-  RunOnce(SmallWorld(), env);
-  const auto bytes = FileBytes(env, kPath);
+  const auto bytes = MidBlockCheckpoint();
   ASSERT_FALSE(bytes.empty());
 
   auto corrupted = bytes;
@@ -115,9 +128,7 @@ TEST(CheckpointRobustness, EverySingleByteCorruptionIsDetected) {
 }
 
 TEST(CheckpointRobustness, EveryTruncationIsDetected) {
-  storage::MemEnv env;
-  RunOnce(SmallWorld(), env);
-  const auto bytes = FileBytes(env, kPath);
+  const auto bytes = MidBlockCheckpoint();
   ASSERT_FALSE(bytes.empty());
 
   for (std::size_t length = 0; length < bytes.size(); ++length) {
@@ -130,26 +141,38 @@ TEST(CheckpointRobustness, EveryTruncationIsDetected) {
 TEST(CheckpointRobustness, MixedVersionMetaPayloadIsRefused) {
   storage::MemEnv env;
   RunOnce(SmallWorld(), env);
-  auto bytes = FileBytes(env, kPath);
+  const auto bytes = FileBytes(env, kPath);
 
-  // Splice: rewrite the META payload's format version to 1 and fix the
-  // section CRC so only the version check can object. Layout: magic(4) +
-  // header(24) + header_crc(4), then META's frame id(4) + len(8) + crc(4).
-  constexpr std::size_t kFrame = 4 + 24 + 4;
-  constexpr std::size_t kPayload = kFrame + 4 + 8 + 4;
-  std::uint64_t meta_len = 0;
-  for (int i = 0; i < 8; ++i) {
-    meta_len |= static_cast<std::uint64_t>(bytes[kFrame + 4 + i]) << (8 * i);
+  // Splice: re-emit the container, column for column, with the META
+  // column's format version rewritten to 2. The writer computes every
+  // CRC, so only the META version check can object.
+  constexpr std::uint32_t kMetaColumn = 1;
+  storage::ColumnarReader reader;
+  ASSERT_TRUE(reader.Parse(bytes, "SLCK").ok());
+  storage::ColumnarWriter writer("SLCK", reader.kind(), reader.fingerprint(),
+                                 reader.generation());
+  std::vector<std::uint8_t> meta;
+  for (const auto& column : reader.columns()) {
+    if (column.id != kMetaColumn) {
+      writer.AddBorrowed(column.id, column.elem_width, column.bytes);
+      continue;
+    }
+    meta.assign(column.bytes.begin(), column.bytes.end());
+    std::uint32_t version = 0;
+    ASSERT_GE(meta.size(), sizeof(version));
+    std::memcpy(&version, meta.data(), sizeof(version));
+    ASSERT_EQ(version, core::kCheckpointVersionColumnar);
+    PatchU32(meta, 0, 2);  // META format version := 2
+    writer.AddBorrowed(column.id, column.elem_width, meta);
   }
-  ASSERT_LE(kPayload + meta_len, bytes.size());
-  PatchU32(bytes, kPayload, 1);  // META format version := 1
-  PatchU32(bytes, kFrame + 12,
-           net::Crc32cOf(std::span{bytes.data() + kPayload, meta_len}));
+  ASSERT_FALSE(meta.empty()) << "no META column";
+  const auto spliced = writer.Finish();
 
   core::CheckpointLoadReport report;
-  EXPECT_FALSE(core::DecodeCheckpoint(bytes, &report).has_value());
+  EXPECT_FALSE(core::DecodeCheckpoint(spliced, &report).has_value());
   EXPECT_TRUE(report.version_refused);
   EXPECT_FALSE(report.bad_magic);
+  EXPECT_EQ(report.detail, "META format version mismatch");
 }
 
 TEST(CheckpointRobustness, CorruptPrimaryHealsFromNewestGeneration) {
@@ -284,7 +307,8 @@ TEST(CheckpointRobustness, FingerprintMismatchIsSilentlySkipped) {
   EXPECT_FALSE(env.Exists(std::string{kPath} + ".corrupt"));
 }
 
-TEST(CheckpointRobustness, V1FilesStillRead) {
+/// An SLCK v1 file as older builds wrote it: the unframed stream.
+std::vector<std::uint8_t> V1Checkpoint() {
   storage::ByteWriter out;
   const char magic[4] = {'S', 'L', 'C', 'K'};
   out.PutBytes(std::span{reinterpret_cast<const std::uint8_t*>(magic), 4});
@@ -314,27 +338,66 @@ TEST(CheckpointRobustness, V1FilesStillRead) {
   out.Put(std::uint64_t{6});        // next_block
   out.Put(std::uint8_t{0});         // has_inflight
   out.Put(std::uint64_t{0});        // transport bytes
-  const auto bytes = out.Take();
+  return out.Take();
+}
 
-  core::CheckpointLoadReport report;
-  const auto checkpoint = core::DecodeCheckpoint(bytes, &report);
-  ASSERT_TRUE(checkpoint.has_value()) << report.detail;
-  EXPECT_EQ(report.version, 1u);
-  EXPECT_EQ(report.generation, 7u);
-  EXPECT_EQ(checkpoint->fingerprint, 0xfeedu);
-  EXPECT_EQ(checkpoint->counts.strict, 3);
-  EXPECT_EQ(checkpoint->counts.non_diurnal, 2);
-  EXPECT_EQ(checkpoint->stats.checkpoints_written, 7u);
-  EXPECT_EQ(checkpoint->next_block, 6u);
-  EXPECT_TRUE(checkpoint->stats.resumed_from_checkpoint);
-  EXPECT_FALSE(checkpoint->has_inflight);
+/// An SLCK v2 header as older builds wrote it: magic | u32 version
+/// | u64 fingerprint | u64 generation | u32 n_sections | u32 CRC32C of
+/// the 24 bytes after the magic.
+std::vector<std::uint8_t> V2Checkpoint(std::uint64_t fingerprint) {
+  storage::ByteWriter header;
+  header.Put(std::uint32_t{2});  // version
+  header.Put(fingerprint);
+  header.Put(std::uint64_t{4});  // generation
+  header.Put(std::uint32_t{0});  // n_sections
+  storage::ByteWriter out;
+  const char magic[4] = {'S', 'L', 'C', 'K'};
+  out.PutBytes(std::span{reinterpret_cast<const std::uint8_t*>(magic), 4});
+  out.PutBytes(header.bytes());
+  out.Put(net::Crc32cOf(header.bytes()));
+  return out.Take();
+}
 
-  // Truncated v1 is still a detected failure, not UB.
-  const std::span<const std::uint8_t> truncated{bytes.data(),
-                                                bytes.size() - 9};
-  core::CheckpointLoadReport bad;
-  EXPECT_FALSE(core::DecodeCheckpoint(truncated, &bad).has_value());
-  EXPECT_GE(bad.corrupt_sections, 1);
+TEST(CheckpointRobustness, PreV3FilesAreRefused) {
+  for (const auto& [version, bytes] :
+       {std::pair{1u, V1Checkpoint()}, std::pair{2u, V2Checkpoint(0xfeed)}}) {
+    SCOPED_TRACE("SLCK v" + std::to_string(version));
+    core::CheckpointLoadReport report;
+    EXPECT_FALSE(core::DecodeCheckpoint(bytes, &report).has_value());
+    EXPECT_TRUE(report.version_refused);
+    EXPECT_FALSE(report.bad_magic);
+    EXPECT_EQ(report.version, version);
+    EXPECT_NE(report.detail.find(std::to_string(version)), std::string::npos)
+        << report.detail;
+  }
+}
+
+TEST(CheckpointRobustness, PreV3PrimaryIsQuarantinedAndTheCampaignStartsFresh) {
+  // A v2 primary checkpoint left by an older build of the same campaign:
+  // it is refused like any undecodable file — renamed .corrupt with its
+  // bytes intact, counted as a discarded generation — and the campaign
+  // runs from scratch to the same result as a clean run.
+  const auto world = SmallWorld();
+  storage::MemEnv clean_env;
+  const auto baseline = RunOnce(world, clean_env);
+
+  storage::MemEnv env;
+  const auto fingerprint = core::CampaignFingerprint(
+      TargetsOf(world), 30, ConfigFor(env).seed, ConfigFor(env).analyzer);
+  const auto old_file = V2Checkpoint(fingerprint);
+  ASSERT_TRUE(storage::AtomicWrite(env, kPath, old_file).ok());
+
+  const auto fresh = RunOnce(world, env);
+  EXPECT_FALSE(fresh.resumed);
+  EXPECT_EQ(fresh.recovery.recoveries, 0u);
+  EXPECT_EQ(fresh.recovery.generations_discarded, 1u);
+  EXPECT_EQ(FileBytes(env, std::string{kPath} + ".corrupt"), old_file);
+  EXPECT_EQ(FileBytes(env, kPath), FileBytes(clean_env, kPath));
+  ASSERT_EQ(fresh.result.analyses.size(), baseline.result.analyses.size());
+  for (std::size_t i = 0; i < baseline.result.analyses.size(); ++i) {
+    EXPECT_EQ(baseline.result.analyses[i].short_series.values,
+              fresh.result.analyses[i].short_series.values);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // SLPW v3 columnar datasets (core/dataset_columnar.h): the format must
-// round-trip losslessly, re-analyze bitwise identically to the framed
-// v2 layout, map zero-copy through storage::Env, and fail closed on
-// every forged byte, truncation, wrong kind, and hostile offset table.
+// round-trip the f32-rounded series exactly, re-analyze bitwise
+// identically to the same series held in memory, map zero-copy through
+// storage::Env, and fail closed on every forged byte, truncation, wrong
+// kind, and hostile offset table.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -71,10 +72,20 @@ std::vector<BlockAnalysis> TestAnalyses() {
   return analyses;
 }
 
-TEST(DatasetColumnar, RoundTripMaterializesTheV2DatasetExactly) {
+/// The samples a dataset stores: each value narrowed to f32, widened
+/// back. The format-independent reference for everything read back.
+std::vector<double> F32Rounded(const std::vector<double>& values) {
+  std::vector<double> rounded;
+  rounded.reserve(values.size());
+  for (const double value : values) {
+    rounded.push_back(static_cast<double>(static_cast<float>(value)));
+  }
+  return rounded;
+}
+
+TEST(DatasetColumnar, RoundTripMaterializesTheSeriesExactly) {
   const auto analyses = TestAnalyses();
   const auto v3 = EncodeDatasetColumnar(analyses, 660, 4242);
-  const auto v2 = EncodeDataset(analyses, 660, 4242);
 
   ColumnarDatasetView view;
   ASSERT_TRUE(ParseDatasetColumnar(v3, view).ok());
@@ -82,25 +93,21 @@ TEST(DatasetColumnar, RoundTripMaterializesTheV2DatasetExactly) {
   EXPECT_EQ(view.round_seconds, 660);
   EXPECT_EQ(view.epoch_sec, 4242);
 
-  const auto from_v3 = MaterializeDataset(view);
-  const auto from_v2 = DecodeDataset(v2);
-  ASSERT_TRUE(from_v2.has_value());
-  ASSERT_EQ(from_v3.blocks.size(), from_v2->blocks.size());
-  EXPECT_EQ(from_v3.round_seconds, from_v2->round_seconds);
-  EXPECT_EQ(from_v3.epoch_sec, from_v2->epoch_sec);
-  for (std::size_t i = 0; i < from_v3.blocks.size(); ++i) {
-    const auto& a = from_v3.blocks[i];
-    const auto& b = from_v2->blocks[i];
+  const auto dataset = MaterializeDataset(view);
+  ASSERT_EQ(dataset.blocks.size(), analyses.size());
+  EXPECT_EQ(dataset.round_seconds, 660);
+  EXPECT_EQ(dataset.epoch_sec, 4242);
+  for (std::size_t i = 0; i < analyses.size(); ++i) {
+    const auto& a = dataset.blocks[i];
+    const auto& b = analyses[i];
     EXPECT_EQ(a.block.Index(), b.block.Index()) << "block " << i;
     EXPECT_EQ(a.ever_active, b.ever_active) << "block " << i;
     EXPECT_EQ(a.probed, b.probed) << "block " << i;
-    EXPECT_EQ(a.series.first_round, b.series.first_round) << "block " << i;
-    ASSERT_EQ(a.series.values.size(), b.series.values.size()) << "block " << i;
-    for (std::size_t k = 0; k < a.series.values.size(); ++k) {
-      // Bitwise: both formats narrow through the same f32.
-      EXPECT_EQ(a.series.values[k], b.series.values[k])
-          << "block " << i << " sample " << k;
-    }
+    EXPECT_EQ(a.series.first_round, b.short_series.first_round)
+        << "block " << i;
+    // Bitwise: the stored samples are exactly the f32-rounded inputs.
+    EXPECT_EQ(a.series.values, F32Rounded(b.short_series.values))
+        << "block " << i;
   }
 }
 
@@ -111,38 +118,42 @@ TEST(DatasetColumnar, DecodeDatasetSniffsV3) {
   const auto dataset = DecodeDataset(v3, &report);
   ASSERT_TRUE(dataset.has_value()) << report.detail;
   EXPECT_EQ(report.version, storage::kColumnarVersion);
+  EXPECT_EQ(report.corrupt_records, 0);
   EXPECT_EQ(report.records_expected, analyses.size());
   EXPECT_EQ(dataset->blocks.size(), analyses.size());
+  EXPECT_EQ(dataset->round_seconds, 660);
+  EXPECT_EQ(dataset->epoch_sec, 7);
 }
 
 TEST(DatasetColumnar, ReanalysisIsBitwiseIdenticalAcrossFormats) {
+  // The mapped f32 column against the same series held in memory.
   const auto analyses = TestAnalyses();
   const auto v3 = EncodeDatasetColumnar(analyses, 660, 0);
-  const auto v2 = EncodeDataset(analyses, 660, 0);
-
   ColumnarDatasetView view;
   ASSERT_TRUE(ParseDatasetColumnar(v3, view).ok());
-  const auto dataset = DecodeDataset(v2);
-  ASSERT_TRUE(dataset.has_value());
 
   AnalysisScratch scratch;
   BlockAnalysis from_view;
-  BlockAnalysis from_record;
+  BlockAnalysis from_memory;
   for (std::size_t i = 0; i < analyses.size(); ++i) {
+    const auto& a = analyses[i];
     ReanalyzeColumnar(view, i, {}, scratch, from_view);
-    Reanalyze(dataset->blocks[i], {}, scratch, from_record);
-    EXPECT_EQ(from_view.probed, from_record.probed) << "block " << i;
-    EXPECT_EQ(from_view.observed_days, from_record.observed_days)
+    ReanalyzeSeries(a.block, a.ever_active, a.probed,
+                    a.short_series.first_round,
+                    F32Rounded(a.short_series.values), {}, scratch,
+                    from_memory);
+    EXPECT_EQ(from_view.probed, from_memory.probed) << "block " << i;
+    EXPECT_EQ(from_view.observed_days, from_memory.observed_days)
         << "block " << i;
-    EXPECT_EQ(from_view.mean_short, from_record.mean_short) << "block " << i;
+    EXPECT_EQ(from_view.mean_short, from_memory.mean_short) << "block " << i;
     EXPECT_EQ(from_view.stationarity.stationary,
-              from_record.stationarity.stationary)
+              from_memory.stationarity.stationary)
         << "block " << i;
     EXPECT_EQ(from_view.diurnal.classification,
-              from_record.diurnal.classification)
+              from_memory.diurnal.classification)
         << "block " << i;
     EXPECT_EQ(from_view.diurnal.strongest_cycles_per_day,
-              from_record.diurnal.strongest_cycles_per_day)
+              from_memory.diurnal.strongest_cycles_per_day)
         << "block " << i;
   }
 }
@@ -281,10 +292,11 @@ TEST(DatasetColumnar, MapsZeroCopyThroughAnEnv) {
       MapDatasetColumnar(env, "/data/missing.slpw", region, view).ok());
 }
 
-TEST(DatasetColumnar, ParallelReanalysisCountsMatchTheV2Pipeline) {
+TEST(DatasetColumnar, ParallelReanalysisCountsMatchTheDatasetPipeline) {
   // ReanalyzeDatasetColumnar (O(workers) memory, claim-counter sweep)
-  // must report exactly the counts of the v2 path: ReanalyzeDataset +
-  // ClassifyAnalysis per block — at any worker count.
+  // must report exactly the counts of the per-block path over the
+  // materialized Dataset: ReanalyzeDataset + ClassifyAnalysis per block
+  // — at any worker count.
   std::vector<BlockAnalysis> analyses;
   for (std::uint32_t i = 0; i < 12; ++i) {
     analyses.push_back(MakeAnalysis(1000 + 13 * i, 270 + static_cast<int>(i),
@@ -292,15 +304,12 @@ TEST(DatasetColumnar, ParallelReanalysisCountsMatchTheV2Pipeline) {
   }
   analyses.push_back(MakeAnalysis(9000, 8, true));  // too short: skipped
   const auto v3 = EncodeDatasetColumnar(analyses, 660, 0);
-  const auto v2 = EncodeDataset(analyses, 660, 0);
-
   ColumnarDatasetView view;
   ASSERT_TRUE(ParseDatasetColumnar(v3, view).ok());
-  const auto dataset = DecodeDataset(v2);
-  ASSERT_TRUE(dataset.has_value());
 
   DiurnalCounts expect;
-  for (const auto& analysis : ReanalyzeDataset(*dataset, {}, 1)) {
+  for (const auto& analysis :
+       ReanalyzeDataset(MaterializeDataset(view), {}, 1)) {
     ClassifyAnalysis(analysis, false, expect);
   }
   ASSERT_GT(expect.probed(), 0);

@@ -1,7 +1,6 @@
-// SLPW v2 robustness: every single-byte corruption and truncation must
-// fail the strict loader; the tolerant loader must salvage the intact
-// records and count the damaged ones; v1 files must still read; foreign
-// versions must be refused.
+// SLPW robustness: every single-byte corruption and truncation must
+// fail the loader; v1 and v2 files from older builds and foreign
+// versions must be refused, never misread.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,16 +9,12 @@
 #include <vector>
 
 #include "sleepwalk/core/dataset.h"
+#include "sleepwalk/core/dataset_columnar.h"
 #include "sleepwalk/net/checksum.h"
 #include "sleepwalk/storage/bytes.h"
 
 namespace sleepwalk::core {
 namespace {
-
-// Layout constants of the v2 container (see dataset.h):
-// magic(4) + header(28) + header_crc(4), then per record len(4) + crc(4)
-// + payload.
-constexpr std::size_t kFirstRecord = 4 + 28 + 4;
 
 BlockAnalysis MakeAnalysis(std::uint32_t index, int samples) {
   BlockAnalysis analysis;
@@ -44,21 +39,72 @@ std::vector<BlockAnalysis> TestAnalyses() {
   return analyses;
 }
 
+/// An SLPW file as older builds wrote it, laid out as `version` (1: the
+/// unframed stream; 2: a CRC'd header and one CRC-framed record) with
+/// `version_word` in the header's version field. The record is block
+/// 4242, |E(b)| 77, probed, first round 2, samples {0.25, 0.5, 0.75}.
+std::vector<std::uint8_t> PreV3Dataset(std::uint32_t version,
+                                       std::uint32_t version_word) {
+  storage::ByteWriter header;
+  header.Put(version_word);
+  header.Put(std::int64_t{660});  // round_seconds
+  header.Put(std::int64_t{99});   // epoch_sec
+  header.Put(std::uint64_t{1});   // block_count
+  storage::ByteWriter record;
+  record.Put(std::uint32_t{4242});  // block index
+  record.Put(std::uint16_t{77});    // ever_active
+  record.Put(std::uint8_t{1});      // probed
+  record.Put(std::int64_t{2});      // first_round
+  record.Put(std::uint32_t{3});     // n_samples
+  record.Put(0.25F);
+  record.Put(0.5F);
+  record.Put(0.75F);
+
+  storage::ByteWriter out;
+  const char magic[4] = {'S', 'L', 'P', 'W'};
+  out.PutBytes(std::span{reinterpret_cast<const std::uint8_t*>(magic), 4});
+  out.PutBytes(header.bytes());
+  if (version == 1) {
+    out.PutBytes(record.bytes());
+  } else {
+    out.Put(net::Crc32cOf(header.bytes()));
+    out.Put(static_cast<std::uint32_t>(record.size()));
+    out.Put(net::Crc32cOf(record.bytes()));
+    out.PutBytes(record.bytes());
+  }
+  return out.Take();
+}
+
+// The name dates from the record-framed v2 format; the case now checks
+// that a clean file in the only format (v3) decodes with a clean report.
 TEST(DatasetRobustness, StrictDecodeReportsCleanV2) {
-  const auto bytes = EncodeDataset(TestAnalyses(), 660, 42);
+  const auto analyses = TestAnalyses();
+  const auto bytes = EncodeDatasetColumnar(analyses, 660, 42);
   DatasetLoadReport report;
   const auto dataset = DecodeDataset(bytes, &report);
   ASSERT_TRUE(dataset.has_value()) << report.detail;
-  EXPECT_EQ(report.version, kDatasetVersion);
+  EXPECT_EQ(report.version, storage::kColumnarVersion);
+  EXPECT_FALSE(report.bad_magic);
+  EXPECT_FALSE(report.version_refused);
   EXPECT_EQ(report.corrupt_records, 0);
   EXPECT_EQ(report.records_expected, 5u);
-  EXPECT_EQ(dataset->blocks.size(), 5u);
+  EXPECT_TRUE(report.detail.empty()) << report.detail;
   EXPECT_EQ(dataset->round_seconds, 660);
   EXPECT_EQ(dataset->epoch_sec, 42);
+  ASSERT_EQ(dataset->blocks.size(), analyses.size());
+  for (std::size_t i = 0; i < analyses.size(); ++i) {
+    EXPECT_EQ(dataset->blocks[i].block.Index(), analyses[i].block.Index());
+    EXPECT_EQ(dataset->blocks[i].ever_active, analyses[i].ever_active);
+    EXPECT_EQ(dataset->blocks[i].probed, analyses[i].probed);
+    EXPECT_EQ(dataset->blocks[i].series.first_round,
+              analyses[i].short_series.first_round);
+    EXPECT_EQ(dataset->blocks[i].series.size(),
+              analyses[i].short_series.size());
+  }
 }
 
 TEST(DatasetRobustness, EverySingleByteCorruptionFailsStrictDecode) {
-  const auto bytes = EncodeDataset(TestAnalyses(), 660, 42);
+  const auto bytes = EncodeDatasetColumnar(TestAnalyses(), 660, 42);
   auto corrupted = bytes;
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     corrupted[i] = bytes[i] ^ 0xA5;
@@ -73,7 +119,7 @@ TEST(DatasetRobustness, EverySingleByteCorruptionFailsStrictDecode) {
 }
 
 TEST(DatasetRobustness, EveryTruncationFailsStrictDecode) {
-  const auto bytes = EncodeDataset(TestAnalyses(), 660, 42);
+  const auto bytes = EncodeDatasetColumnar(TestAnalyses(), 660, 42);
   for (std::size_t length = 0; length < bytes.size(); ++length) {
     const std::span<const std::uint8_t> prefix{bytes.data(), length};
     EXPECT_FALSE(DecodeDataset(prefix).has_value())
@@ -81,109 +127,36 @@ TEST(DatasetRobustness, EveryTruncationFailsStrictDecode) {
   }
 }
 
-TEST(DatasetRobustness, TolerantDecodeSalvagesAroundOneBadRecord) {
-  const auto analyses = TestAnalyses();
-  auto bytes = EncodeDataset(analyses, 660, 42);
-  // Flip a payload byte of record 0 (offset +8 skips its len and crc,
-  // +2 lands inside the block index field).
-  bytes[kFirstRecord + 8 + 2] ^= 0xFF;
-
-  EXPECT_FALSE(DecodeDataset(bytes).has_value());
-
-  DatasetLoadReport report;
-  const auto salvaged = DecodeDatasetTolerant(bytes, &report);
-  ASSERT_TRUE(salvaged.has_value());
-  EXPECT_EQ(report.corrupt_records, 1);
-  EXPECT_EQ(report.records_expected, 5u);
-  ASSERT_EQ(salvaged->blocks.size(), 4u);
-  // The survivors are the records after the damaged one, in order.
-  for (std::size_t i = 0; i < salvaged->blocks.size(); ++i) {
-    EXPECT_EQ(salvaged->blocks[i].block.Index(),
-              analyses[i + 1].block.Index());
-    EXPECT_EQ(salvaged->blocks[i].series.size(),
-              analyses[i + 1].short_series.size());
-  }
-}
-
-TEST(DatasetRobustness, TolerantDecodeStopsAtABrokenFrameChain) {
-  const auto analyses = TestAnalyses();
-  const auto bytes = EncodeDataset(analyses, 660, 42);
-  // Cut into the last record's payload: its frame is no longer whole,
-  // and nothing after it is locatable.
-  const std::span<const std::uint8_t> truncated{bytes.data(),
-                                                bytes.size() - 5};
-  DatasetLoadReport report;
-  const auto salvaged = DecodeDatasetTolerant(truncated, &report);
-  ASSERT_TRUE(salvaged.has_value());
-  EXPECT_EQ(report.corrupt_records, 1);
-  EXPECT_EQ(salvaged->blocks.size(), analyses.size() - 1);
-}
-
-TEST(DatasetRobustness, TolerantDecodeStillRefusesABrokenHeader) {
-  auto bytes = EncodeDataset(TestAnalyses(), 660, 42);
-  bytes[9] ^= 0x10;  // inside round_seconds, under the header CRC
-  DatasetLoadReport report;
-  EXPECT_FALSE(DecodeDatasetTolerant(bytes, &report).has_value());
-  EXPECT_GE(report.corrupt_records, 1);
-}
-
 TEST(DatasetRobustness, ForeignVersionIsRefusedNotMisread) {
-  auto bytes = EncodeDataset(TestAnalyses(), 660, 42);
-  bytes[4] = 9;  // version u32 LSB: 2 -> 9 (no such format)
+  auto bytes = EncodeDatasetColumnar(TestAnalyses(), 660, 42);
+  bytes[4] = 9;  // version u32 LSB: 3 -> 9 (no such format)
   DatasetLoadReport report;
   EXPECT_FALSE(DecodeDataset(bytes, &report).has_value());
   EXPECT_TRUE(report.version_refused);
-  EXPECT_FALSE(DecodeDatasetTolerant(bytes).has_value());
+  EXPECT_EQ(report.version, 9u);
 }
 
 TEST(DatasetRobustness, V2BodyMasqueradingAsV3IsRefused) {
   // Version says columnar, the body is framed v2: the columnar parser
-  // must fail closed (header CRC covers the version field), never
-  // misread frames as a column directory.
-  auto bytes = EncodeDataset(TestAnalyses(), 660, 42);
-  bytes[4] = 3;
+  // must fail closed, never misread frames as a column directory.
+  const auto bytes = PreV3Dataset(2, storage::kColumnarVersion);
   DatasetLoadReport report;
   EXPECT_FALSE(DecodeDataset(bytes, &report).has_value());
   EXPECT_GE(report.corrupt_records, 1);
 }
 
-TEST(DatasetRobustness, V1FilesStillRead) {
-  // Hand-built v1: unframed records, no checksums.
-  storage::ByteWriter out;
-  const char magic[4] = {'S', 'L', 'P', 'W'};
-  out.PutBytes(std::span{reinterpret_cast<const std::uint8_t*>(magic), 4});
-  out.Put(std::uint32_t{1});      // version
-  out.Put(std::int64_t{660});     // round_seconds
-  out.Put(std::int64_t{99});      // epoch_sec
-  out.Put(std::uint64_t{1});      // block_count
-  out.Put(std::uint32_t{4242});   // record: block index
-  out.Put(std::uint16_t{77});     //   ever_active
-  out.Put(std::uint8_t{1});       //   probed
-  out.Put(std::int64_t{2});       //   first_round
-  out.Put(std::uint32_t{3});      //   n_samples
-  out.Put(0.25F);
-  out.Put(0.5F);
-  out.Put(0.75F);
-  const auto bytes = out.Take();
-
-  DatasetLoadReport report;
-  const auto dataset = DecodeDataset(bytes, &report);
-  ASSERT_TRUE(dataset.has_value()) << report.detail;
-  EXPECT_EQ(report.version, 1u);
-  ASSERT_EQ(dataset->blocks.size(), 1u);
-  EXPECT_EQ(dataset->blocks[0].block.Index(), 4242u);
-  EXPECT_EQ(dataset->blocks[0].ever_active, 77);
-  EXPECT_TRUE(dataset->blocks[0].probed);
-  EXPECT_EQ(dataset->blocks[0].series.first_round, 2);
-  ASSERT_EQ(dataset->blocks[0].series.size(), 3u);
-  EXPECT_DOUBLE_EQ(dataset->blocks[0].series.values[1], 0.5);
-
-  // v1 truncation is still a detected failure.
-  const std::span<const std::uint8_t> truncated{bytes.data(),
-                                                bytes.size() - 2};
-  DatasetLoadReport bad;
-  EXPECT_FALSE(DecodeDataset(truncated, &bad).has_value());
-  EXPECT_GE(bad.corrupt_records, 1);
+TEST(DatasetRobustness, PreV3FilesAreRefused) {
+  for (const std::uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("SLPW v" + std::to_string(version));
+    DatasetLoadReport report;
+    EXPECT_FALSE(
+        DecodeDataset(PreV3Dataset(version, version), &report).has_value());
+    EXPECT_TRUE(report.version_refused);
+    EXPECT_FALSE(report.bad_magic);
+    EXPECT_EQ(report.version, version);
+    EXPECT_NE(report.detail.find(std::to_string(version)), std::string::npos)
+        << report.detail;
+  }
 }
 
 }  // namespace

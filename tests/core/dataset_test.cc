@@ -5,13 +5,23 @@
 #include <cstdio>
 #include <fstream>
 
+#include "sleepwalk/core/dataset_columnar.h"
 #include "sleepwalk/sim/block.h"
+#include "sleepwalk/storage/file.h"
 
 namespace sleepwalk::core {
 namespace {
 
 std::string TempPath(const char* name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+bool WriteFile(const std::string& path,
+               std::span<const BlockAnalysis> analyses,
+               std::int64_t round_seconds = 660, std::int64_t epoch_sec = 0) {
+  return WriteDatasetColumnar(storage::RealEnvInstance(), path, analyses,
+                              round_seconds, epoch_sec)
+      .ok();
 }
 
 BlockAnalysis MakeAnalysis(std::uint32_t index, int samples) {
@@ -33,7 +43,7 @@ TEST(Dataset, WriteReadRoundTrip) {
   std::vector<BlockAnalysis> analyses = {MakeAnalysis(100, 300),
                                          MakeAnalysis(200, 150)};
   analyses[1].probed = false;
-  ASSERT_TRUE(WriteDataset(path, analyses, 660, 12345));
+  ASSERT_TRUE(WriteFile(path, analyses, 660, 12345));
 
   const auto dataset = ReadDataset(path);
   ASSERT_TRUE(dataset.has_value());
@@ -58,7 +68,7 @@ TEST(Dataset, WriteReadRoundTrip) {
 
 TEST(Dataset, EmptyDataset) {
   const auto path = TempPath("empty.slpw");
-  ASSERT_TRUE(WriteDataset(path, {}));
+  ASSERT_TRUE(WriteFile(path, {}));
   const auto dataset = ReadDataset(path);
   ASSERT_TRUE(dataset.has_value());
   EXPECT_TRUE(dataset->blocks.empty());
@@ -82,7 +92,7 @@ TEST(Dataset, BadMagicRejected) {
 TEST(Dataset, TruncationRejected) {
   const auto path = TempPath("trunc.slpw");
   const std::vector<BlockAnalysis> analyses = {MakeAnalysis(7, 400)};
-  ASSERT_TRUE(WriteDataset(path, analyses));
+  ASSERT_TRUE(WriteFile(path, analyses));
 
   // Read the bytes, rewrite truncated versions: all must be rejected.
   std::ifstream in{path, std::ios::binary};
@@ -123,7 +133,7 @@ TEST(Dataset, ReanalyzeRecoversClassification) {
 
   const auto path = TempPath("reanalyze.slpw");
   const std::vector<BlockAnalysis> analyses = {original};
-  ASSERT_TRUE(WriteDataset(path, analyses));
+  ASSERT_TRUE(WriteFile(path, analyses));
   const auto dataset = ReadDataset(path);
   ASSERT_TRUE(dataset.has_value());
   const auto reloaded = Reanalyze(dataset->blocks.front(), config);

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "sleepwalk/core/dataset.h"
+#include "sleepwalk/core/dataset_columnar.h"
 #include "sleepwalk/core/parallel_executor.h"
 #include "sleepwalk/core/supervisor.h"
 #include "sleepwalk/faults/faulty_transport.h"
@@ -94,19 +94,12 @@ std::string FileBytes(const std::string& path) {
   return buffer.str();
 }
 
-std::string DatasetBytes(const core::CampaignOutcome& outcome,
-                         const core::SupervisorConfig& config,
-                         const std::string& tag) {
-  const std::string path = testing::TempDir() + "/pexec_" + tag + ".slpw";
-  if (!core::WriteDataset(path, outcome.result.analyses,
-                          config.analyzer.schedule.round_seconds,
-                          config.analyzer.schedule.epoch_sec)) {
-    ADD_FAILURE() << "cannot write dataset " << path;
-    return {};
-  }
-  auto bytes = FileBytes(path);
-  std::remove(path.c_str());
-  return bytes;
+std::vector<std::uint8_t> DatasetBytes(
+    const core::CampaignOutcome& outcome,
+    const core::SupervisorConfig& config) {
+  return core::EncodeDatasetColumnar(outcome.result.analyses,
+                                     config.analyzer.schedule.round_seconds,
+                                     config.analyzer.schedule.epoch_sec);
 }
 
 void ExpectStatsEqual(const report::ResilienceStats& a,
@@ -150,7 +143,7 @@ TEST(ParallelExecutor, WorkersOneVsEightByteIdentical) {
     auto outcome =
         core::RunParallelCampaign(TargetsOf(world), FactoryFor(world, plan),
                                   220, config, parallel);
-    auto dataset = DatasetBytes(outcome, config, tag);
+    auto dataset = DatasetBytes(outcome, config);
     auto checkpoint = FileBytes(config.checkpoint_path);
     std::remove(config.checkpoint_path.c_str());
     return std::tuple{std::move(outcome), std::move(dataset),
@@ -186,8 +179,8 @@ TEST(ParallelExecutor, MatchesSequentialSupervisor) {
   const auto threaded = core::RunParallelCampaign(
       TargetsOf(world), FactoryFor(world, plan), 220, config, parallel);
 
-  EXPECT_EQ(DatasetBytes(sequential, config, "seq"),
-            DatasetBytes(threaded, config, "par"));
+  EXPECT_EQ(DatasetBytes(sequential, config),
+            DatasetBytes(threaded, config));
   ASSERT_EQ(sequential.quarantined.size(), threaded.quarantined.size());
   // The sequential supervisor leaves stats.probes to the caller (it only
   // sees a Transport&); compare the supervisor-owned counters and check
@@ -291,8 +284,8 @@ TEST(ParallelExecutor, KillAndResumeAtEightWorkersIsByteIdentical) {
   EXPECT_GE(slices, 3);
   EXPECT_TRUE(outcome.resumed);
   EXPECT_TRUE(outcome.stats.resumed_from_checkpoint);
-  EXPECT_EQ(DatasetBytes(reference, config, "ref"),
-            DatasetBytes(outcome, config, "res"));
+  EXPECT_EQ(DatasetBytes(reference, config),
+            DatasetBytes(outcome, config));
   // Only commits mutate stats and every slice commits an exact block
   // prefix, so the sliced totals match the uninterrupted run except for
   // the checkpoint writes the reference never performed.
@@ -330,8 +323,8 @@ TEST(ParallelExecutor, RefusesMidBlockSequentialCheckpoint) {
   const auto reference = core::RunParallelCampaign(
       TargetsOf(world), FactoryFor(world, plan), 220, clean_config,
       parallel);
-  EXPECT_EQ(DatasetBytes(reference, clean_config, "mb_ref"),
-            DatasetBytes(outcome, config, "mb_out"));
+  EXPECT_EQ(DatasetBytes(reference, clean_config),
+            DatasetBytes(outcome, config));
   std::remove(config.checkpoint_path.c_str());
 }
 

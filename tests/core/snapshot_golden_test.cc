@@ -3,22 +3,30 @@
 //
 // The hashes below are FNV-1a and CRC32C over the exact file bytes of a
 // BlockStore snapshot (with and without series rings) and of an SLPW v3
-// dataset, built from fixed seeded state, and of the checkpoint a store
-// campaign leaves behind. They were recorded from the whole-image
-// encoder that assembled every file in one buffer, before the writer
-// learned to gather borrowed column spans straight into the file. Any mismatch means the on-disk bytes moved: every checkpoint and
-// dataset a campaign ever wrote would stop resuming or comparing equal.
+// dataset, built from fixed seeded state, of the checkpoint a store
+// campaign leaves behind, and of the checkpoint a per-block campaign
+// (RunResilientCampaign, RunParallelCampaign) leaves behind. The store
+// and dataset hashes were recorded from the whole-image encoder that
+// assembled every file in one buffer, before the writer learned to
+// gather borrowed column spans straight into the file; the per-block
+// campaign hashes before the pre-v3 encoders were removed. Any mismatch
+// means the on-disk bytes moved: every checkpoint and dataset a campaign
+// ever wrote would stop resuming or comparing equal.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "sleepwalk/core/block_store.h"
 #include "sleepwalk/core/dataset_columnar.h"
+#include "sleepwalk/core/parallel_executor.h"
 #include "sleepwalk/core/store_campaign.h"
+#include "sleepwalk/core/supervisor.h"
 #include "sleepwalk/net/checksum.h"
+#include "sleepwalk/sim/world.h"
 #include "sleepwalk/storage/file.h"
 
 namespace sleepwalk::core {
@@ -35,6 +43,10 @@ constexpr Golden kSeriesStoreGolden{181508, 0x1cae1fe13d63294fULL,
                                     0x6d6caaf1U};
 constexpr Golden kDatasetGolden{11840, 0x37df60221e86322bULL, 0x4c10f0acU};
 constexpr Golden kCampaignGolden{73424, 0xf0357dcadcd24484ULL, 0x20b85f7aU};
+constexpr Golden kSupervisorGolden{20032, 0xe8f0264b2368fe7eULL,
+                                   0x7e085ce5U};
+constexpr Golden kStatelessSupervisorGolden{19968, 0x821fa9cb4a5e232dULL,
+                                            0x47d869daU};
 
 constexpr std::uint64_t kFingerprint = 0x51ee9b0ddeadbeefULL;
 constexpr std::uint64_t kRoundsDone = 60;
@@ -168,6 +180,82 @@ TEST(SnapshotGolden, StoreCampaignCheckpointBytesAreUnchanged) {
   std::vector<std::uint8_t> written;
   ASSERT_TRUE(env.ReadAll(config.checkpoint_path, written).ok());
   ExpectGolden(written, kCampaignGolden);
+}
+
+/// Worker chain owning a private identically-seeded sim transport, so
+/// the 8-worker campaign sees exactly what the sequential one does.
+class OwningSimChain final : public ShardChain {
+ public:
+  OwningSimChain(const sim::SimWorld& world, std::uint64_t site_seed)
+      : transport_{world.MakeTransport(site_seed)} {}
+  net::Transport& transport() override { return *transport_; }
+
+ private:
+  std::unique_ptr<sim::SimTransport> transport_;
+};
+
+/// Forwards to a sim transport without exposing its state, the way the
+/// parallel executor's per-worker chains leave TRANSPORT empty.
+class StatelessTransport final : public net::Transport {
+ public:
+  explicit StatelessTransport(net::Transport& inner) : inner_(inner) {}
+  net::ProbeStatus Probe(net::Ipv4Addr target,
+                         std::int64_t when_sec) override {
+    return inner_.Probe(target, when_sec);
+  }
+
+ private:
+  net::Transport& inner_;
+};
+
+/// The kCheckpointKind file a per-block campaign leaves behind: written
+/// by RunResilientCampaign over a stateful sim transport (TRANSPORT
+/// column filled) and over a stateless one, and, byte for byte with the
+/// stateless file, by an 8-worker RunParallelCampaign.
+TEST(SnapshotGolden, SupervisorCheckpointBytesAreUnchanged) {
+  constexpr char kPath[] = "/campaign/golden.slck";
+  constexpr std::int64_t kRounds = 30;
+  sim::WorldConfig world_config;
+  world_config.total_blocks = 8;
+  world_config.seed = 0xc0ffee;
+  const auto world = sim::SimWorld::Generate(world_config);
+  std::vector<BlockTarget> targets;
+  for (const auto& block : world.blocks()) {
+    targets.push_back({block.spec.block, sim::EverActiveOctets(block.spec),
+                       sim::TrueAvailability(block.spec, 13 * 3600)});
+  }
+  SupervisorConfig config;
+  config.checkpoint_path = kPath;
+  const auto file_of = [&](storage::MemEnv& env) {
+    std::vector<std::uint8_t> written;
+    EXPECT_TRUE(env.ReadAll(kPath, written).ok());
+    return written;
+  };
+
+  storage::MemEnv stateful_env;
+  config.env = &stateful_env;
+  auto transport = world.MakeTransport(3);
+  ASSERT_GT(RunResilientCampaign(targets, *transport, kRounds, config)
+                .stats.checkpoints_written,
+            0u);
+  ExpectGolden(file_of(stateful_env), kSupervisorGolden);
+
+  storage::MemEnv stateless_env;
+  config.env = &stateless_env;
+  auto inner = world.MakeTransport(3);
+  StatelessTransport stateless{*inner};
+  RunResilientCampaign(targets, stateless, kRounds, config);
+  ExpectGolden(file_of(stateless_env), kStatelessSupervisorGolden);
+
+  storage::MemEnv parallel_env;
+  config.env = &parallel_env;
+  ParallelConfig parallel;
+  parallel.workers = 8;
+  const ShardFactory factory = [&world](std::size_t) {
+    return std::make_unique<OwningSimChain>(world, 3);
+  };
+  RunParallelCampaign(targets, factory, kRounds, config, parallel);
+  ExpectGolden(file_of(parallel_env), kStatelessSupervisorGolden);
 }
 
 }  // namespace

@@ -9,12 +9,11 @@
 //
 // A second matrix injects non-fatal I/O failures (EIO, ENOSPC, short
 // write): saves fail and are logged, but the campaign completes and the
-// dataset must not change by a single byte.
-//
-// Both matrices run once per on-disk checkpoint format: SLCK v3 (the
-// columnar container resumed through the zero-copy Env::Map seam, and
-// the SupervisorConfig default) and SLCK v2 (the legacy row-oriented
-// layout) — the durability discipline is format-independent.
+// dataset must not change by a single byte. Both matrices run at 1 and 8
+// workers over SLCK v3 checkpoints, resumed through the zero-copy
+// Env::Map seam, with three rotated generations; the *Columnar cases
+// (named for the v3 format when v2 still existed beside it) run the same
+// sweeps with rotation off, where the primary file is the only copy.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "sleepwalk/core/dataset.h"
+#include "sleepwalk/core/dataset_columnar.h"
 #include "sleepwalk/core/parallel_executor.h"
 #include "sleepwalk/core/supervisor.h"
 #include "sleepwalk/sim/world.h"
@@ -36,6 +35,10 @@ namespace {
 
 constexpr char kPath[] = "/campaign/ck.slck";
 constexpr std::int64_t kRounds = 20;
+/// Generations retained by the rotating sweeps; the *Columnar sweeps
+/// keep only the primary file.
+constexpr int kRotatingKeep = 3;
+constexpr int kPrimaryOnlyKeep = 1;
 
 sim::SimWorld SweepWorld() {
   sim::WorldConfig config;
@@ -53,11 +56,10 @@ std::vector<core::BlockTarget> TargetsOf(const sim::SimWorld& world) {
   return targets;
 }
 
-core::SupervisorConfig ConfigFor(storage::Env& env, std::uint32_t format) {
+core::SupervisorConfig ConfigFor(storage::Env& env, int keep) {
   core::SupervisorConfig config;
   config.checkpoint_path = kPath;
-  config.checkpoint_keep = 3;
-  config.checkpoint_format = format;
+  config.checkpoint_keep = keep;
   config.env = &env;
   return config;
 }
@@ -75,26 +77,46 @@ class OwningSimChain final : public core::ShardChain {
   std::unique_ptr<sim::SimTransport> transport_;
 };
 
-core::CampaignOutcome RunSequential(const sim::SimWorld& world,
-                                    storage::Env& env, std::uint32_t format) {
+core::CampaignOutcome RunSequentialKeeping(const sim::SimWorld& world,
+                                           storage::Env& env, int keep) {
   auto transport = world.MakeTransport(5);
   return core::RunResilientCampaign(TargetsOf(world), *transport, kRounds,
-                                    ConfigFor(env, format));
+                                    ConfigFor(env, keep));
 }
 
-core::CampaignOutcome RunParallel(const sim::SimWorld& world,
-                                  storage::Env& env, std::uint32_t format) {
+core::CampaignOutcome RunParallelKeeping(const sim::SimWorld& world,
+                                         storage::Env& env, int keep) {
   core::ParallelConfig parallel;
   parallel.workers = 8;
   const core::ShardFactory factory = [&world](std::size_t) {
     return std::make_unique<OwningSimChain>(world, 5);
   };
   return core::RunParallelCampaign(TargetsOf(world), factory, kRounds,
-                                   ConfigFor(env, format), parallel);
+                                   ConfigFor(env, keep), parallel);
 }
 
-using Runner = std::function<core::CampaignOutcome(
-    const sim::SimWorld&, storage::Env&, std::uint32_t)>;
+core::CampaignOutcome RunSequential(const sim::SimWorld& world,
+                                    storage::Env& env) {
+  return RunSequentialKeeping(world, env, kRotatingKeep);
+}
+
+core::CampaignOutcome RunParallel(const sim::SimWorld& world,
+                                  storage::Env& env) {
+  return RunParallelKeeping(world, env, kRotatingKeep);
+}
+
+core::CampaignOutcome RunSequentialPrimaryOnly(const sim::SimWorld& world,
+                                               storage::Env& env) {
+  return RunSequentialKeeping(world, env, kPrimaryOnlyKeep);
+}
+
+core::CampaignOutcome RunParallelPrimaryOnly(const sim::SimWorld& world,
+                                             storage::Env& env) {
+  return RunParallelKeeping(world, env, kPrimaryOnlyKeep);
+}
+
+using Runner =
+    std::function<core::CampaignOutcome(const sim::SimWorld&, storage::Env&)>;
 
 std::vector<std::uint8_t> FileBytes(storage::Env& env,
                                     const std::string& path) {
@@ -106,20 +128,20 @@ std::vector<std::uint8_t> FileBytes(storage::Env& env,
 
 std::vector<std::uint8_t> DatasetBytesOf(const core::CampaignOutcome& outcome) {
   const core::SupervisorConfig defaults;
-  return core::EncodeDataset(outcome.result.analyses,
-                             defaults.analyzer.schedule.round_seconds,
-                             defaults.analyzer.schedule.epoch_sec);
+  return core::EncodeDatasetColumnar(outcome.result.analyses,
+                                     defaults.analyzer.schedule.round_seconds,
+                                     defaults.analyzer.schedule.epoch_sec);
 }
 
 /// Counts the storage operations of one uninterrupted run, then crashes
 /// at every single one of them and proves restart convergence.
-void CrashSweep(const Runner& run, std::uint32_t format) {
+void CrashSweep(const Runner& run) {
   const auto world = SweepWorld();
 
   util::FailpointSet counter;  // inert: counts hits, never fires
   storage::MemEnv clean;
   storage::FaultyEnv counted{clean, counter};
-  const auto baseline = run(world, counted, format);
+  const auto baseline = run(world, counted);
   const auto n_ops = counter.total_hits();
   ASSERT_GT(n_ops, 0u) << "campaign performed no storage operations";
 
@@ -138,7 +160,7 @@ void CrashSweep(const Runner& run, std::uint32_t format) {
 
     bool crashed = false;
     try {
-      run(world, env, format);
+      run(world, env);
     } catch (const util::CrashInjected&) {
       crashed = true;
     }
@@ -149,7 +171,7 @@ void CrashSweep(const Runner& run, std::uint32_t format) {
     // "Restart": same disk — tmp litter, half-rotated generations and
     // all — with the failpoints disarmed.
     failpoints.Reset();
-    const auto resumed = run(world, env, format);
+    const auto resumed = run(world, env);
     EXPECT_EQ(FileBytes(disk, kPath), want_checkpoint)
         << "primary checkpoint diverged after crash/restart";
     EXPECT_EQ(DatasetBytesOf(resumed), want_dataset)
@@ -159,33 +181,29 @@ void CrashSweep(const Runner& run, std::uint32_t format) {
   }
 }
 
-TEST(CrashSweep, EveryStorageOpSingleWorker) {
-  CrashSweep(RunSequential, core::kCheckpointVersion);
-}
+TEST(CrashSweep, EveryStorageOpSingleWorker) { CrashSweep(RunSequential); }
 
-TEST(CrashSweep, EveryStorageOpEightWorkers) {
-  CrashSweep(RunParallel, core::kCheckpointVersion);
-}
+TEST(CrashSweep, EveryStorageOpEightWorkers) { CrashSweep(RunParallel); }
 
 TEST(CrashSweep, EveryStorageOpSingleWorkerColumnar) {
-  CrashSweep(RunSequential, core::kCheckpointVersionColumnar);
+  CrashSweep(RunSequentialPrimaryOnly);
 }
 
 TEST(CrashSweep, EveryStorageOpEightWorkersColumnar) {
-  CrashSweep(RunParallel, core::kCheckpointVersionColumnar);
+  CrashSweep(RunParallelPrimaryOnly);
 }
 
 /// Non-fatal I/O failure matrix: a failed checkpoint save is logged and
 /// rolled back, never measured. The dataset must be byte-identical to
 /// the failure-free run (checkpoint generation counts legitimately
 /// differ — a failed save is a save not written).
-void ErrorMatrix(const Runner& run, std::uint32_t format) {
+void ErrorMatrix(const Runner& run) {
   const auto world = SweepWorld();
 
   util::FailpointSet counter;
   storage::MemEnv clean;
   storage::FaultyEnv counted{clean, counter};
-  const auto baseline = run(world, counted, format);
+  const auto baseline = run(world, counted);
   const auto n_ops = counter.total_hits();
   ASSERT_GT(n_ops, 2u);
   const auto want_dataset = DatasetBytesOf(baseline);
@@ -201,7 +219,7 @@ void ErrorMatrix(const Runner& run, std::uint32_t format) {
           failpoints));
       storage::MemEnv disk;
       storage::FaultyEnv env{disk, failpoints};
-      const auto outcome = run(world, env, format);
+      const auto outcome = run(world, env);
       EXPECT_FALSE(outcome.resumed);
       EXPECT_EQ(DatasetBytesOf(outcome), want_dataset)
           << "an I/O error leaked into the measurement";
@@ -215,16 +233,12 @@ void ErrorMatrix(const Runner& run, std::uint32_t format) {
   }
 }
 
-TEST(CrashSweep, IoErrorMatrixSingleWorker) {
-  ErrorMatrix(RunSequential, core::kCheckpointVersion);
-}
+TEST(CrashSweep, IoErrorMatrixSingleWorker) { ErrorMatrix(RunSequential); }
 
-TEST(CrashSweep, IoErrorMatrixEightWorkers) {
-  ErrorMatrix(RunParallel, core::kCheckpointVersion);
-}
+TEST(CrashSweep, IoErrorMatrixEightWorkers) { ErrorMatrix(RunParallel); }
 
 TEST(CrashSweep, IoErrorMatrixSingleWorkerColumnar) {
-  ErrorMatrix(RunSequential, core::kCheckpointVersionColumnar);
+  ErrorMatrix(RunSequentialPrimaryOnly);
 }
 
 }  // namespace

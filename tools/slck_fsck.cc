@@ -3,11 +3,14 @@
 //   slck_fsck FILE...          check each file, print a one-line verdict
 //   slck_fsck --verbose FILE   add per-file structural detail
 //
-// Understands SLCK (checkpoint) v1/v2/v3 — including v3 block-store
-// snapshots (kind 2) — and SLPW (dataset) v1/v2/v3 — including v3
-// columnar datasets — by sniffing the magic and, for v3 containers,
-// the kind discriminator. Exit status: 0 when every file decodes intact,
-// 1 when any file is corrupt/truncated/unreadable, 2 on usage errors.
+// Understands SLCK v3 — campaign checkpoints (kind 1) and block-store
+// snapshots (kind 2) — and SLPW v3 columnar datasets, by sniffing the
+// magic and the kind discriminator. A v1 or v2 file from an older build
+// is reported as refused. There is no partial salvage: a checkpoint
+// recovers through its retained generations, a dataset fails closed, and
+// the verdict names the first violated invariant (for a rotted column,
+// its id). Exit status: 0 when every file decodes intact, 1 when any
+// file is corrupt/truncated/refused/unreadable, 2 on usage errors.
 // scripts/tier1.sh runs it over freshly written artifacts so a format
 // regression (bad CRC, broken framing) fails the tier-1 gate, and
 // operators can point it at a damaged campaign directory to see which
@@ -19,7 +22,6 @@
 
 #include "sleepwalk/core/block_store.h"
 #include "sleepwalk/core/checkpoint.h"
-#include "sleepwalk/core/dataset.h"
 #include "sleepwalk/core/dataset_columnar.h"
 #include "sleepwalk/storage/columnar.h"
 #include "sleepwalk/storage/file.h"
@@ -90,38 +92,47 @@ bool CheckStoreSnapshot(const std::vector<std::uint8_t>& bytes,
   return true;
 }
 
-/// Dispatches an SLCK file: v1/v2 (and v3 kind kCheckpointKind) go to
-/// the checkpoint decoder; v3 kind kStoreSnapshotKind to the store
-/// decoder. The kind peek reuses the full ColumnarReader validation so
-/// a damaged header is reported, never mis-dispatched.
+/// True (with the verdict printed) when the header names a version other
+/// than v3: a v1 or v2 file from an older build, or a future one.
+bool RefusedVersion(const std::vector<std::uint8_t>& bytes,
+                    const std::string& path, const char* magic) {
+  const auto version = storage::PeekContainerVersion(bytes, magic);
+  if (!version || *version == storage::kColumnarVersion) return false;
+  std::cout << path << ": " << magic << " v" << *version
+            << " REFUSED (only v3 is readable)\n";
+  return true;
+}
+
+/// Dispatches an SLCK file on its v3 container kind: kCheckpointKind to
+/// the checkpoint decoder, kStoreSnapshotKind to the store decoder. The
+/// kind peek reuses the full ColumnarReader validation so a damaged
+/// header is reported, never mis-dispatched.
 bool CheckSlck(const std::vector<std::uint8_t>& bytes,
                const std::string& path, bool verbose) {
-  const auto version = storage::PeekContainerVersion(bytes, "SLCK");
-  if (version == storage::kColumnarVersion) {
-    storage::ColumnarReader reader;
-    if (const auto error = reader.Parse(bytes, "SLCK", path); !error.ok()) {
-      std::cout << path << ": SLCK v3 CORRUPT (" << error.ToString() << ")\n";
-      return false;
-    }
-    if (reader.kind() == core::kStoreSnapshotKind) {
-      return CheckStoreSnapshot(bytes, path, verbose, reader.fingerprint(),
-                                reader.generation());
-    }
-    if (reader.kind() != core::kCheckpointKind) {
-      std::cout << path << ": SLCK v3 CORRUPT (unknown container kind "
-                << reader.kind() << ")\n";
-      return false;
-    }
+  if (RefusedVersion(bytes, path, "SLCK")) return false;
+  storage::ColumnarReader reader;
+  if (const auto error = reader.Parse(bytes, "SLCK", path); !error.ok()) {
+    std::cout << path << ": SLCK v3 CORRUPT (" << error.ToString() << ")\n";
+    return false;
+  }
+  if (reader.kind() == core::kStoreSnapshotKind) {
+    return CheckStoreSnapshot(bytes, path, verbose, reader.fingerprint(),
+                              reader.generation());
+  }
+  if (reader.kind() != core::kCheckpointKind) {
+    std::cout << path << ": SLCK v3 CORRUPT (unknown container kind "
+              << reader.kind() << ")\n";
+    return false;
   }
   return CheckCheckpoint(bytes, path, verbose);
 }
 
-/// SLPW v3 columnar datasets get the dedicated parser: the full
-/// ColumnarReader strictness pass plus the cross-column offset/count
-/// prefix-sum validation, with a per-column directory walk under
-/// --verbose (what an operator needs to see WHICH column rotted).
-bool CheckDatasetColumnar(const std::vector<std::uint8_t>& bytes,
-                          const std::string& path, bool verbose) {
+/// SLPW files get the full ColumnarReader strictness pass plus the
+/// cross-column offset/count prefix-sum validation, with a per-column
+/// directory walk under --verbose.
+bool CheckDataset(const std::vector<std::uint8_t>& bytes,
+                  const std::string& path, bool verbose) {
+  if (RefusedVersion(bytes, path, "SLPW")) return false;
   core::ColumnarDatasetView view;
   if (const auto error = core::ParseDatasetColumnar(bytes, view, path);
       !error.ok()) {
@@ -141,36 +152,6 @@ bool CheckDatasetColumnar(const std::vector<std::uint8_t>& bytes,
                   << " row(s) x " << column.elem_width << " byte(s)\n";
       }
     }
-  }
-  return true;
-}
-
-bool CheckDataset(const std::vector<std::uint8_t>& bytes,
-                  const std::string& path, bool verbose) {
-  if (storage::PeekContainerVersion(bytes, "SLPW") ==
-      storage::kColumnarVersion) {
-    return CheckDatasetColumnar(bytes, path, verbose);
-  }
-  core::DatasetLoadReport report;
-  const auto dataset = core::DecodeDataset(bytes, &report);
-  if (!dataset) {
-    std::cout << path << ": SLPW v" << report.version << " CORRUPT ("
-              << (report.detail.empty() ? "undecodable" : report.detail)
-              << ", " << report.corrupt_records << " bad record(s))\n";
-    // A v2 dataset may still be partially salvageable; say how much.
-    core::DatasetLoadReport salvage_report;
-    if (const auto salvaged =
-            core::DecodeDatasetTolerant(bytes, &salvage_report)) {
-      std::cout << "  salvageable: " << salvaged->blocks.size() << "/"
-                << salvage_report.records_expected << " record(s)\n";
-    }
-    return false;
-  }
-  std::cout << path << ": SLPW v" << report.version << " ok, "
-            << dataset->blocks.size() << " block(s)\n";
-  if (verbose) {
-    std::cout << "  round_seconds " << dataset->round_seconds
-              << ", epoch_sec " << dataset->epoch_sec << "\n";
   }
   return true;
 }
