@@ -199,7 +199,7 @@ struct LargeScale {
 /// Ring depth for the per-block A-hat_s series: ~3 days at 660 s
 /// rounds. After the midnight trim eats up to a day, every block still
 /// has the >= 2 whole days the classifier demands; deeper rings only
-/// fatten every snapshot (12 bytes per slot per block).
+/// fatten every snapshot (8 bytes per slot per block).
 constexpr std::int32_t kSeriesCapacity = 400;
 
 core::StoreCampaignConfig LargeConfig(std::size_t blocks,
@@ -261,7 +261,7 @@ LargeScale RunLarge() {
   // Snapshot cadence: one v3 image every 2048 rounds. A checkpoint
   // stride has to buy enough estimator + series work to amortize the
   // snapshot encode+write — now dominated by the series rings
-  // (kSeriesCapacity * 12 bytes per block), which is why the stride
+  // (kSeriesCapacity * 8 bytes per block), which is why the stride
   // and round count are 4x PR 9's: the same trade a real campaign
   // makes (a round is minutes of probing there; a snapshot must stay
   // a rounding error against the work between snapshots).
@@ -274,7 +274,10 @@ LargeScale RunLarge() {
             << "capacity " << result.series_capacity << ")\n";
 
   // Scale-derived RSS ceiling: the arena (per-block fixed columns +
-  // the 12-byte-per-slot rings) is the unavoidable footprint; the
+  // the rings) is the unavoidable footprint. Rings are budgeted at 12
+  // bytes per slot, their cost before the per-slot round stamp became
+  // a per-block cursor; they now take 8, so the ceiling is looser than
+  // the arena alone calls for (ROADMAP 12a re-derives it). The
   // budget grants ~5 arena images (store + snapshot encode + MemEnv
   // file + atomic-write staging) plus fixed slack for the binary and
   // the small scale. A leak or an accidental per-block materialization

@@ -30,8 +30,12 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# A campaign big enough to stay alive for a few seconds of scraping.
-run_flags=(--blocks 400 --days 14 --seed 11 --loss 0.05 --workers 2)
+# A campaign that outlives the scrapes below. At 400 blocks it ended in
+# ~0.35 s, sometimes before sleeptop connected (3 failures in 20 runs);
+# 4,000 blocks run for over a second in an unoptimized build, several
+# times the ~0.1-0.3 s the scrapes take. The inertness run below uses
+# the same flags, so both runs are the same campaign.
+run_flags=(--blocks 4000 --days 14 --seed 11 --loss 0.05 --workers 2)
 
 echo "== admin_smoke: campaign with --admin-port 0 =="
 "${CLI}" measure "${run_flags[@]}" \

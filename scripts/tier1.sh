@@ -134,11 +134,12 @@ cmake --build build-asan -j "${jobs}" --target faults_test integration_test \
 sim_suites='HashUniform|HashGaussian|DiurnalIsOn|IntermittentIsOn|BlockSpec|AddressIsOn|TrueAvailability|Outage|AddressResponds|DiurnalStartOf|SimTransport|Survey|SimWorld|WorldNames|TransportGolden|TransportMemo'
 # The storage suites and the snapshot/dataset suites ride along because
 # MemEnv files are buffers shared with every region mapped over them,
-# snapshots are gathered from borrowed arena spans, and the v3 reader
-# turns directory fields into typed spans: lifetime and overflow bugs
+# snapshots are gathered from borrowed arena spans, the v3 reader turns
+# directory fields into typed spans, and the store analyzer walks the
+# series rings by their decoded cursors: lifetime and overflow bugs
 # there pass assertions and only show under the sanitizers.
 storage_suites='Failpoint|FailpointParse|MemEnv|RealEnv|DirName|AtomicWrite|AppendParts|FaultyEnv|Columnar|EveryStep/AtomicWriteFailure|EveryStack/MemEnvMap|EveryAction/AtomicWritePartsFailure'
-snapshot_suites='BlockStore|StoreCampaign|CheckpointColumnar|DatasetColumnar|SnapshotGolden'
+snapshot_suites='BlockStore|StoreCampaign|StoreAnalyzer|CheckpointColumnar|DatasetColumnar|SnapshotGolden'
 # The spectral suites ride along because the pruned Bluestein stages and
 # the bit-reversed scatter/gather passes index partial ranges of m-sized
 # buffers through a permutation table (DESIGN.md §10.1): a partner slot

@@ -1,6 +1,9 @@
 #include "sleepwalk/core/block_store.h"
 
-#include <cstdlib>
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstring>
 #include <new>
 
@@ -33,13 +36,16 @@ constexpr std::uint32_t kColObservedDays = 15;
 constexpr std::uint32_t kColMeanShort = 16;
 constexpr std::uint32_t kColFinalOperational = 17;
 constexpr std::uint32_t kColMeanProbes = 18;
-// Series ring columns (absent when series_capacity == 0; a PR 9 reader
-// would refuse such a snapshot by its 3-word META, a PR 9 *file* still
-// decodes here by its 2-word META).
+// Series ring columns (absent when series_capacity == 0; an estimator-
+// only file with a 2-word META still decodes).
 constexpr std::uint32_t kColSeriesValue = 19;
-constexpr std::uint32_t kColSeriesRound = 20;
+// Id 20 held the n * capacity i32 round stamp of every ring slot. It
+// is retired, never to be reused: a file that still carries it predates
+// the per-block last-round cursor and is refused.
+constexpr std::uint32_t kColSeriesRoundRetired = 20;
 constexpr std::uint32_t kColSeriesLen = 21;
 constexpr std::uint32_t kColSeriesHead = 22;
+constexpr std::uint32_t kColSeriesLast = 23;
 
 std::size_t AlignUp(std::size_t value) { return (value + 63) / 64 * 64; }
 
@@ -54,7 +60,7 @@ storage::Error SnapshotError(const std::string& path, std::string detail) {
 }  // namespace
 
 void BlockStore::ArenaDelete::operator()(std::uint8_t* p) const noexcept {
-  std::free(p - shift);
+  ::munmap(p, bytes);
 }
 
 void BlockStore::Reset(std::size_t n_blocks,
@@ -110,21 +116,24 @@ void BlockStore::Allocate(std::size_t n_blocks,
   final_operational_off_ = carve_block(sizeof(double));
   mean_probes_off_ = carve_block(sizeof(double));
   series_value_off_ = carve(sizeof(double), ring_slots);
-  series_round_off_ = carve(sizeof(std::int32_t), ring_slots);
   series_len_off_ = carve_block(sizeof(std::int32_t));
   series_head_off_ = carve_block(sizeof(std::int32_t));
+  series_last_off_ = carve_block(sizeof(std::int32_t));
 
-  // calloc, not new + memset: a large arena is a fresh mapping the
-  // kernel zeroes page by page on first touch, so zeroing it here would
-  // fault in and write every page once before the columns write it
-  // again. 64 spare bytes buy the cache-line alignment.
-  const std::size_t bytes = AlignUp(cursor) + 64;
+  // An anonymous mapping, not calloc or new + memset: its pages arrive
+  // zeroed from the kernel on first touch, at every size. calloc hands
+  // out recycled heap memory below glibc's dynamic mmap threshold (up
+  // to 32 MiB) and must then memset all of it before the columns write
+  // it again. The mapping is page-aligned, so every 64-byte column
+  // offset is cache-line aligned too.
+  static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t bytes =
+      std::max<std::size_t>(1, (cursor + page - 1) / page) * page;
   arena_.reset();
-  void* raw = std::calloc(bytes, 1);
-  if (raw == nullptr) throw std::bad_alloc();
-  const auto address = reinterpret_cast<std::uintptr_t>(raw);
-  const std::size_t shift = AlignUp(address) - address;
-  arena_ = {static_cast<std::uint8_t*>(raw) + shift, ArenaDelete{shift}};
+  void* raw = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  arena_ = {static_cast<std::uint8_t*>(raw), ArenaDelete{bytes}};
 }
 
 void BlockStore::SeedBlock(std::size_t i, std::uint32_t prefix_index,
@@ -190,17 +199,16 @@ void BlockStore::AppendSeriesSample(std::size_t i, std::int64_t round,
   const auto cap = static_cast<std::size_t>(series_capacity_);
   std::int32_t* len = Column<std::int32_t>(series_len_off_) + i;
   std::int32_t* head = Column<std::int32_t>(series_head_off_) + i;
-  const std::size_t slot =
-      i * cap + (static_cast<std::size_t>(*head) +
-                 static_cast<std::size_t>(*len)) %
-                    cap;
-  Column<double>(series_value_off_)[slot] = value;
-  Column<std::int32_t>(series_round_off_)[slot] =
-      static_cast<std::int32_t>(round);
+  // The head moves only once the ring is full, so the next free slot is
+  // len while filling and the oldest sample's slot after.
+  const std::int32_t next = *len < series_capacity_ ? *len : *head;
+  Column<double>(series_value_off_)[i * cap + static_cast<std::size_t>(next)] =
+      value;
+  Column<std::int32_t>(series_last_off_)[i] = static_cast<std::int32_t>(round);
   if (*len < series_capacity_) {
     ++*len;
   } else {
-    *head = (*head + 1) % series_capacity_;
+    *head = next + 1 == series_capacity_ ? 0 : next + 1;
   }
 }
 
@@ -211,9 +219,9 @@ void BlockStore::RecordSeriesRound(std::size_t begin, std::size_t end,
   const double* p_short = Column<double>(p_short_off_);
   const double* t_short = Column<double>(t_short_off_);
   double* values = Column<double>(series_value_off_);
-  std::int32_t* rounds = Column<std::int32_t>(series_round_off_);
   std::int32_t* len = Column<std::int32_t>(series_len_off_);
   std::int32_t* head = Column<std::int32_t>(series_head_off_);
+  std::int32_t* last = Column<std::int32_t>(series_last_off_);
   const auto stamp = static_cast<std::int32_t>(round);
   for (std::size_t i = begin; i < end; ++i) {
     // Same expression as AvailabilityShortTerm over the estimator
@@ -221,16 +229,13 @@ void BlockStore::RecordSeriesRound(std::size_t begin, std::size_t end,
     // analyzer's raw_.Add(round, estimator.ShortTerm()) records.
     const double value =
         t_short[i] > 0.0 ? p_short[i] / t_short[i] : 0.0;
-    const std::size_t slot =
-        i * cap + (static_cast<std::size_t>(head[i]) +
-                   static_cast<std::size_t>(len[i])) %
-                      cap;
-    values[slot] = value;
-    rounds[slot] = stamp;
+    const std::int32_t next = len[i] < series_capacity_ ? len[i] : head[i];
+    values[i * cap + static_cast<std::size_t>(next)] = value;
+    last[i] = stamp;
     if (len[i] < series_capacity_) {
       ++len[i];
     } else {
-      head[i] = (head[i] + 1) % series_capacity_;
+      head[i] = next + 1 == series_capacity_ ? 0 : next + 1;
     }
   }
 }
@@ -246,13 +251,17 @@ void BlockStore::CopySeriesOrdered(std::size_t i,
   if (series_capacity_ <= 0 || i >= n_) return;
   const auto cap = static_cast<std::size_t>(series_capacity_);
   const double* values = Column<double>(series_value_off_) + i * cap;
-  const std::int32_t* rounds = Column<std::int32_t>(series_round_off_) + i * cap;
   const std::int32_t len = Column<std::int32_t>(series_len_off_)[i];
   const std::int32_t head = Column<std::int32_t>(series_head_off_)[i];
+  // A block's samples are consecutive rounds ending at its cursor.
+  const std::int64_t first =
+      static_cast<std::int64_t>(Column<std::int32_t>(series_last_off_)[i]) -
+      (len - 1);
   out.reserve(static_cast<std::size_t>(len));
+  std::int32_t slot = head;
   for (std::int32_t k = 0; k < len; ++k) {
-    const auto slot = static_cast<std::size_t>((head + k) % series_capacity_);
-    out.push_back({rounds[slot], values[slot]});
+    out.push_back({first + k, values[slot]});
+    if (++slot == series_capacity_) slot = 0;
   }
 }
 
@@ -363,10 +372,6 @@ std::span<const double> BlockStore::series_values() const noexcept {
   return {Column<double>(series_value_off_),
           n_ * static_cast<std::size_t>(series_capacity_)};
 }
-std::span<const std::int32_t> BlockStore::series_rounds() const noexcept {
-  return {Column<std::int32_t>(series_round_off_),
-          n_ * static_cast<std::size_t>(series_capacity_)};
-}
 std::span<const std::int32_t> BlockStore::series_len() const noexcept {
   if (series_capacity_ <= 0) return {};
   return SLEEPWALK_COLUMN_SPAN(std::int32_t, series_len_off_);
@@ -374,6 +379,10 @@ std::span<const std::int32_t> BlockStore::series_len() const noexcept {
 std::span<const std::int32_t> BlockStore::series_head() const noexcept {
   if (series_capacity_ <= 0) return {};
   return SLEEPWALK_COLUMN_SPAN(std::int32_t, series_head_off_);
+}
+std::span<const std::int32_t> BlockStore::series_last() const noexcept {
+  if (series_capacity_ <= 0) return {};
+  return SLEEPWALK_COLUMN_SPAN(std::int32_t, series_last_off_);
 }
 
 #undef SLEEPWALK_COLUMN_SPAN
@@ -385,6 +394,55 @@ std::uint64_t FoldColumn(std::uint64_t hash, std::span<const T> column) {
   const auto* bytes = reinterpret_cast<const std::uint8_t*>(column.data());
   return MixHash(hash, net::Crc32cOf({bytes, column.size_bytes()}),
                  column.size());
+}
+
+/// Folds the ring round stamps as an n * capacity i32 column with block
+/// i's ring at [i * capacity, (i + 1) * capacity): 0 in unfilled slots,
+/// the consecutive run ending at `last` otherwise, starting at the
+/// oldest sample's slot `head`. The stamps are generated into a stack
+/// buffer and CRC'd chunk by chunk; only the cursors are stored.
+std::uint64_t FoldRingStamps(std::uint64_t hash, std::int32_t capacity,
+                             std::span<const std::int32_t> len,
+                             std::span<const std::int32_t> head,
+                             std::span<const std::int32_t> last) noexcept {
+  // Unsigned, so a run ending at INT32_MAX wraps like the stored i32
+  // bytes instead of overflowing.
+  std::uint32_t buffer[1024];
+  std::size_t filled = 0;
+  net::Crc32c crc;
+  const auto flush = [&] {
+    crc.Add({reinterpret_cast<const std::uint8_t*>(buffer),
+             filled * sizeof(std::uint32_t)});
+    filled = 0;
+  };
+  // Emits `count` stamps starting at `start`, stepping by `step` (0 for
+  // the zero fill of unfilled slots, 1 for a run of rounds).
+  const auto emit = [&](std::uint32_t start, std::uint32_t step,
+                        std::int32_t count) {
+    while (count > 0) {
+      if (filled == std::size(buffer)) flush();
+      const auto chunk = static_cast<std::int32_t>(std::min<std::size_t>(
+          static_cast<std::size_t>(count), std::size(buffer) - filled));
+      for (std::int32_t k = 0; k < chunk; ++k) {
+        buffer[filled++] = start;
+        start += step;
+      }
+      count -= chunk;
+    }
+  };
+  for (std::size_t i = 0; i < len.size(); ++i) {
+    // Slot s holds the round of sample (s - head) mod capacity, oldest
+    // first: slots [head, len) are the oldest run, [0, head) the newest.
+    const auto newest = static_cast<std::uint32_t>(last[i]);
+    const auto stored = static_cast<std::uint32_t>(len[i]);
+    const auto wrapped = static_cast<std::uint32_t>(head[i]);
+    emit(newest - wrapped + 1, 1, head[i]);
+    emit(newest - (stored - 1), 1, len[i] - head[i]);
+    emit(0, 0, capacity - len[i]);
+  }
+  flush();
+  return MixHash(hash, crc.Finish(),
+                 len.size() * static_cast<std::size_t>(capacity));
 }
 
 }  // namespace
@@ -411,7 +469,8 @@ std::uint64_t BlockStore::Digest() const noexcept {
   hash = FoldColumn(hash, mean_probes_per_round());
   if (series_capacity_ > 0) {
     hash = FoldColumn(hash, series_values());
-    hash = FoldColumn(hash, series_rounds());
+    hash = FoldRingStamps(hash, series_capacity_, series_len(), series_head(),
+                          series_last());
     hash = FoldColumn(hash, series_len());
     hash = FoldColumn(hash, series_head());
   }
@@ -448,9 +507,9 @@ storage::ColumnarWriter BlockStore::SnapshotWriter(
   writer.AddTypedBorrowed(kColMeanProbes, mean_probes_per_round());
   if (series_capacity_ > 0) {
     writer.AddTypedBorrowed(kColSeriesValue, series_values());
-    writer.AddTypedBorrowed(kColSeriesRound, series_rounds());
     writer.AddTypedBorrowed(kColSeriesLen, series_len());
     writer.AddTypedBorrowed(kColSeriesHead, series_head());
+    writer.AddTypedBorrowed(kColSeriesLast, series_last());
   }
   return writer;
 }
@@ -534,16 +593,43 @@ storage::Error BlockStore::DecodeSnapshot(
     return SnapshotError(path, "column set incomplete or row counts differ");
   }
   std::span<const double> series_value;
-  std::span<const std::int32_t> series_round, series_len, series_head;
+  std::span<const std::int32_t> series_len, series_head, series_last;
   if (capacity > 0) {
+    if (reader.Find(kColSeriesRoundRetired) != nullptr) {
+      return SnapshotError(path,
+                           "retired series round column 20 present "
+                           "(a ring layout without last-round cursors)");
+    }
     const std::uint64_t ring_rows = rows * meta_capacity;
     const bool series_complete =
         reader.FetchTyped(kColSeriesValue, ring_rows, series_value) &&
-        reader.FetchTyped(kColSeriesRound, ring_rows, series_round) &&
         reader.FetchTyped(kColSeriesLen, rows, series_len) &&
-        reader.FetchTyped(kColSeriesHead, rows, series_head);
+        reader.FetchTyped(kColSeriesHead, rows, series_head) &&
+        reader.FetchTyped(kColSeriesLast, rows, series_last);
     if (!series_complete) {
       return SnapshotError(path, "series columns incomplete or mis-sized");
+    }
+    // The append kernels and CopySeriesOrdered index a ring by these
+    // cursors unchecked, so a file must not be able to point them
+    // outside the block's slots or before round 0.
+    for (std::size_t i = 0; i < rows; ++i) {
+      const char* violated = nullptr;
+      if (series_len[i] < 0 || series_len[i] > capacity) {
+        violated = "series length outside [0, capacity]";
+      } else if (series_head[i] < 0 || series_head[i] >= capacity) {
+        violated = "series head outside [0, capacity)";
+      } else if (series_head[i] != 0 && series_len[i] < capacity) {
+        violated = "series head set on a ring that is not full";
+      } else if (series_len[i] > 0 &&
+                 static_cast<std::int64_t>(series_last[i]) -
+                         (series_len[i] - 1) <
+                     0) {
+        violated = "series rounds start before round 0";
+      }
+      if (violated != nullptr) {
+        return SnapshotError(path, std::string(violated) + " (block " +
+                                       std::to_string(i) + ")");
+      }
     }
   }
 
@@ -572,9 +658,9 @@ storage::Error BlockStore::DecodeSnapshot(
   adopt(mean_probes_off_, mean_probes);
   if (capacity > 0) {
     adopt(series_value_off_, series_value);
-    adopt(series_round_off_, series_round);
     adopt(series_len_off_, series_len);
     adopt(series_head_off_, series_head);
+    adopt(series_last_off_, series_last);
   }
 
   rounds_done = meta[0];

@@ -13,9 +13,13 @@
 // mmap-able SLCK v3 container (storage/columnar.h).
 //
 // The store also carries the analyzer's input: fixed-capacity ring
-// buffers of per-round A-hat_s samples + round stamps, laid out as two
-// more columns (block i's ring at [i*capacity, (i+1)*capacity)) with
-// per-block length/head columns. RecordSeriesRound appends a whole
+// buffers of per-round A-hat_s samples, one f64 column (block i's ring
+// at [i*capacity, (i+1)*capacity)) with per-block length, head and
+// last-round columns. A sample costs 8 bytes: its round is not stored
+// but derived, because a block's samples are consecutive rounds, so the
+// k-th oldest of `len` samples is round last - (len - 1) + k. That
+// contract is the callers' to keep; the scale campaign appends every
+// round of a block range in order. RecordSeriesRound appends a whole
 // round across a block range in one pass; core/store_analyzer.h sweeps
 // the rings through regularize/trim/stationarity/classify at the end
 // of a campaign, writing the verdict columns in place.
@@ -91,9 +95,9 @@ class BlockStore {
   /// (estimator columns get the AvailabilityState defaults: t = 1.0,
   /// deviation = config.initial_deviation). `series_capacity` samples of
   /// per-block A-hat_s ring-buffer series are carved per block (0 keeps
-  /// the store estimator-only). The arena comes from calloc, so pages
-  /// the kernel hands out already zeroed are not written until a column
-  /// first uses them.
+  /// the store estimator-only). The arena is an anonymous mapping, so
+  /// pages the kernel hands out already zeroed are not written until a
+  /// column first uses them, whatever the arena's size.
   void Reset(std::size_t n_blocks, const AvailabilityConfig& config = {},
              std::int32_t series_capacity = 0);
 
@@ -118,16 +122,22 @@ class BlockStore {
   void ObserveRound(std::size_t begin, std::size_t end,
                     std::span<const RoundSample> samples) noexcept;
 
-  /// Appends one A-hat_s sample (round stamp + value) to block i's ring.
-  /// When the ring is full the oldest sample is overwritten; the ring
-  /// always holds the most recent `series_capacity` samples in round
-  /// order. No-op when the store was Reset without series columns.
+  /// Appends one A-hat_s sample to block i's ring and makes `round` the
+  /// block's last round. Contract: a block's samples are consecutive
+  /// rounds, so `round` is the previous call's round + 1 (any round for
+  /// the first sample); the ring keeps no per-sample stamps and derives
+  /// them from the last round. When the ring is full the oldest sample
+  /// is overwritten; the ring always holds the most recent
+  /// `series_capacity` samples in round order. No-op when the store was
+  /// Reset without series columns.
   void AppendSeriesSample(std::size_t i, std::int64_t round,
                           double value) noexcept;
 
   /// The batched series kernel: records round `round`'s A-hat_s (derived
   /// from the estimator columns, same arithmetic as ShortTerm) for every
-  /// block in [begin, end). Runs right after ObserveRound in the scale
+  /// block in [begin, end) and makes `round` their last round. Same
+  /// contract as AppendSeriesSample: each block's previous sample, if
+  /// any, is round - 1. Runs right after ObserveRound in the scale
   /// campaign's inner loop; per-block trajectories are bitwise identical
   /// to AppendSeriesSample(i, round, ShortTerm(i)) calls.
   void RecordSeriesRound(std::size_t begin, std::size_t end,
@@ -137,7 +147,9 @@ class BlockStore {
   std::int32_t SeriesLength(std::size_t i) const noexcept;
 
   /// Copies block i's ring oldest-to-newest into `out` (capacity
-  /// reused). The analysis sweep's bridge to ts::Regularize.
+  /// reused), the k-th oldest of `len` samples stamped round
+  /// last - (len - 1) + k. The analysis sweep's bridge to
+  /// ts::Regularize.
   void CopySeriesOrdered(std::size_t i,
                          std::vector<ts::Observation>& out) const;
 
@@ -180,16 +192,20 @@ class BlockStore {
   std::span<const double> mean_short() const noexcept;
   std::span<const double> final_operational() const noexcept;
   std::span<const double> mean_probes_per_round() const noexcept;
-  // Series ring columns: values/rounds are n * series_capacity (block
-  // i's ring occupies [i * capacity, (i+1) * capacity)); len/head are
-  // per-block. Empty spans when the store has no series columns.
+  // Series ring columns: values are n * series_capacity (block i's
+  // ring occupies [i * capacity, (i+1) * capacity)); len/head/last are
+  // per-block, last being the round of the newest sample. Empty spans
+  // when the store has no series columns.
   std::span<const double> series_values() const noexcept;
-  std::span<const std::int32_t> series_rounds() const noexcept;
   std::span<const std::int32_t> series_len() const noexcept;
   std::span<const std::int32_t> series_head() const noexcept;
+  std::span<const std::int32_t> series_last() const noexcept;
 
   /// Order-sensitive digest over every column — the cheap byte-identity
   /// probe the scale bench compares across worker counts and resumes.
+  /// The ring's round stamps enter as the n * capacity column they
+  /// derive to (0 in unfilled slots), so the value is independent of
+  /// whether stamps are stored or derived.
   std::uint64_t Digest() const noexcept;
 
   /// Atomically writes the store to `path` as an SLCK v3 container
@@ -212,9 +228,11 @@ class BlockStore {
 
   /// Parses + validates a v3 snapshot (typically over a
   /// storage::MappedRegion) and adopts its columns — one memcpy per
-  /// column into a fresh zeroed arena, no per-field decode. On failure
-  /// the store is left Reset to the file's row count or untouched on
-  /// header-level refusal; the Error names the violated invariant.
+  /// column into a fresh zeroed arena, no per-field decode. The ring
+  /// cursors are checked before adoption: len in [0, capacity], head in
+  /// [0, capacity) and 0 unless the ring is full, and no derived round
+  /// below 0. On failure the store is left untouched; the Error names
+  /// the violated invariant.
   storage::Error DecodeSnapshot(std::span<const std::uint8_t> file,
                                 std::uint64_t expect_fingerprint,
                                 std::uint64_t& rounds_done,
@@ -242,13 +260,13 @@ class BlockStore {
     return reinterpret_cast<const T*>(arena_.get() + offset);
   }
 
-  /// Frees a calloc'd block whose aligned start sits `shift` bytes in.
+  /// Unmaps the arena's anonymous mapping of `bytes` bytes.
   struct ArenaDelete {
-    constexpr ArenaDelete() noexcept : shift(0) {}
-    explicit constexpr ArenaDelete(std::size_t bytes_in) noexcept
-        : shift(bytes_in) {}
+    constexpr ArenaDelete() noexcept : bytes(0) {}
+    explicit constexpr ArenaDelete(std::size_t length) noexcept
+        : bytes(length) {}
     void operator()(std::uint8_t* p) const noexcept;
-    std::size_t shift;
+    std::size_t bytes;
   };
 
   std::size_t n_ = 0;
@@ -275,9 +293,9 @@ class BlockStore {
   std::size_t final_operational_off_ = 0;
   std::size_t mean_probes_off_ = 0;
   std::size_t series_value_off_ = 0;
-  std::size_t series_round_off_ = 0;
   std::size_t series_len_off_ = 0;
   std::size_t series_head_off_ = 0;
+  std::size_t series_last_off_ = 0;
 };
 
 /// Container `kind` discriminators for files carrying the SLCK magic:

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "sleepwalk/core/store_campaign.h"
 #include "sleepwalk/storage/columnar.h"
 #include "sleepwalk/storage/file.h"
+#include "sleepwalk/ts/series.h"
 #include "sleepwalk/util/rng.h"
 #include "wrapped_rows_forgery.h"
 
@@ -307,6 +310,119 @@ TEST(BlockStore, SnapshotWithWrappedRowCountColumnIsRefused) {
       << error.ToString();
 }
 
+/// Re-emits every column of a store snapshot through ColumnarWriter, in
+/// file order, with `edit` applied to the i32 column `id` (no column is
+/// edited when the file has none with that id). The writer recomputes
+/// every CRC, so only DecodeSnapshot's own checks can refuse the result.
+std::vector<std::uint8_t> ReemitWithColumn(
+    std::span<const std::uint8_t> image, std::uint32_t id,
+    const std::function<void(std::vector<std::int32_t>&)>& edit) {
+  storage::ColumnarReader reader;
+  EXPECT_TRUE(reader.Parse(image, "SLCK").ok());
+  storage::ColumnarWriter writer("SLCK", core::kStoreSnapshotKind,
+                                 reader.fingerprint(), reader.generation());
+  for (const auto& column : reader.columns()) {
+    if (column.id != id) {
+      writer.Add(column.id, column.elem_width, column.bytes);
+      continue;
+    }
+    const auto typed = column.As<std::int32_t>();
+    std::vector<std::int32_t> values(typed.begin(), typed.end());
+    edit(values);
+    writer.AddTyped<std::int32_t>(id, values);
+  }
+  return writer.Finish();
+}
+
+/// 4 blocks through 8-slot rings for `rounds` consecutive rounds.
+std::vector<std::uint8_t> RingSnapshot(std::int64_t rounds) {
+  BlockStore store;
+  store.Reset(4, {}, 8);
+  for (std::size_t i = 0; i < 4; ++i) {
+    store.SeedBlock(i, static_cast<std::uint32_t>(i), 0.5);
+  }
+  std::vector<RoundSample> samples(4);
+  for (std::int64_t r = 0; r < rounds; ++r) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      samples[i] = SyntheticRoundSample(9, static_cast<std::uint32_t>(i), r);
+    }
+    store.ObserveRound(0, 4, samples);
+    store.RecordSeriesRound(0, 4, r);
+  }
+  return store.EncodeSnapshot(0x51de, static_cast<std::uint64_t>(rounds), 1);
+}
+
+TEST(BlockStore, SnapshotWithImpossibleRingCursorsIsRefused) {
+  // Column ids are frozen file-format constants: 21 series_len,
+  // 22 series_head, 23 series_last. Each forgery is CRC-valid, so the
+  // decoder's cursor checks are all that stands between it and a ring
+  // indexed outside its slots.
+  constexpr std::uint32_t kLen = 21;
+  constexpr std::uint32_t kHead = 22;
+  constexpr std::uint32_t kLast = 23;
+  const auto wrapped = RingSnapshot(12);  // every ring full, head 4
+  const auto partial = RingSnapshot(5);   // len 5 of 8, head 0
+  struct Forgery {
+    const char* what;
+    const std::vector<std::uint8_t>* image;
+    std::uint32_t id;
+    std::function<void(std::vector<std::int32_t>&)> edit;
+    const char* detail;
+  };
+  const Forgery forgeries[] = {
+      {"len above capacity", &wrapped, kLen,
+       [](auto& v) { v[0] = 1'000'000; }, "series length"},
+      {"negative len", &wrapped, kLen, [](auto& v) { v[2] = -1; },
+       "series length"},
+      {"negative head", &wrapped, kHead, [](auto& v) { v[1] = -7; },
+       "series head"},
+      {"head at capacity", &wrapped, kHead, [](auto& v) { v[3] = 8; },
+       "series head"},
+      {"head on a ring that is not full", &partial, kHead,
+       [](auto& v) { v[2] = 3; }, "not full"},
+      {"oldest stamp below round 0", &wrapped, kLast,
+       [](auto& v) { v[1] = 6; }, "before round 0"},
+  };
+  std::uint64_t rounds_done = 0;
+  std::uint64_t checkpoints_written = 0;
+  for (const auto* image : {&wrapped, &partial}) {
+    BlockStore control;
+    EXPECT_TRUE(control
+                    .DecodeSnapshot(ReemitWithColumn(*image, 0, [](auto&) {}),
+                                    0x51de, rounds_done, checkpoints_written)
+                    .ok())
+        << "an unedited re-emit must decode";
+  }
+  for (const auto& forgery : forgeries) {
+    BlockStore restored;
+    const auto error = restored.DecodeSnapshot(
+        ReemitWithColumn(*forgery.image, forgery.id, forgery.edit), 0x51de,
+        rounds_done, checkpoints_written);
+    EXPECT_FALSE(error.ok()) << forgery.what << " decoded";
+    EXPECT_NE(error.detail.find(forgery.detail), std::string::npos)
+        << forgery.what << ": " << error.ToString();
+  }
+}
+
+TEST(BlockStore, SnapshotPaysEightBytesPerRingSample) {
+  // The memory contract of the series rings: an f64 value per sample
+  // plus three i32 cursors per block (length, head, last round). The
+  // slack covers the container's extra META word, directory entries
+  // and column alignment padding.
+  constexpr std::size_t kBlocks = 1000;
+  constexpr std::int32_t kCapacity = 64;
+  BlockStore rings;
+  rings.Reset(kBlocks, {}, kCapacity);
+  BlockStore bare;
+  bare.Reset(kBlocks);
+  const std::size_t with_rings = rings.EncodeSnapshot(1, 0, 0).size();
+  const std::size_t without = bare.EncodeSnapshot(1, 0, 0).size();
+  const std::size_t slack =
+      storage::kColumnarPageBytes + 4 * storage::kColumnarAlignBytes;
+  ASSERT_GT(with_rings, without);
+  EXPECT_LE(with_rings - without, kBlocks * (8 * kCapacity + 12) + slack);
+}
+
 TEST(BlockStore, EverySingleByteCorruptionOfSnapshotIsDetected) {
   BlockStore store;
   store.Reset(3);
@@ -457,6 +573,87 @@ TEST(StoreCampaign, KillAndResumeWithSeriesAndClassifyIsByteIdentical) {
   ASSERT_TRUE(env.ReadAll(path, resumed_file).ok());
   EXPECT_EQ(resumed_file == clean_file, true)
       << "final snapshot (with verdicts + rings) diverged after kill/resume";
+}
+
+// A snapshot in the ring layout from before the last-round cursor:
+// column 20 carries every slot's i32 round stamp (n * capacity rows)
+// and column 23 is absent. It must be refused, and a campaign finding it
+// at its checkpoint path must start fresh and end where a clean run
+// ends.
+TEST(StoreCampaign, PreCursorSnapshotIsRefusedAndTheCampaignStartsFresh) {
+  const std::string path = "/ckpt/pre_cursor.slck";
+  const auto configure = [&path](storage::Env& env) {
+    StoreCampaignConfig config;
+    config.n_blocks = 300;
+    config.n_rounds = 120;
+    config.seed = 0x01d;
+    config.checkpoint_path = path;
+    config.checkpoint_every_rounds = 40;
+    config.env = &env;
+    config.series_capacity = 48;
+    return config;
+  };
+  MemEnv clean_env;
+  BlockStore clean_store;
+  const auto clean =
+      core::RunStoreCampaign(clean_store, configure(clean_env));
+  ASSERT_TRUE(clean.error.empty()) << clean.error;
+
+  MemEnv env;
+  auto config = configure(env);
+  config.stop_after_rounds = 60;
+  BlockStore killed_store;
+  ASSERT_TRUE(core::RunStoreCampaign(killed_store, config).error.empty());
+  std::vector<std::uint8_t> current;
+  ASSERT_TRUE(env.ReadAll(path, current).ok());
+  const std::uint64_t fingerprint = core::StoreCampaignFingerprint(config);
+  BlockStore killed;
+  std::uint64_t rounds_done = 0;
+  std::uint64_t checkpoints_written = 0;
+  ASSERT_TRUE(killed
+                  .DecodeSnapshot(current, fingerprint, rounds_done,
+                                  checkpoints_written)
+                  .ok());
+  ASSERT_GT(rounds_done, 48u) << "the rings should have wrapped";
+
+  // Every slot's stamp, where the old layout kept it.
+  const auto cap = static_cast<std::size_t>(config.series_capacity);
+  std::vector<std::int32_t> stamps(killed.size() * cap, 0);
+  std::vector<ts::Observation> ordered;
+  for (std::size_t i = 0; i < killed.size(); ++i) {
+    killed.CopySeriesOrdered(i, ordered);
+    const auto head = static_cast<std::size_t>(killed.series_head()[i]);
+    for (std::size_t k = 0; k < ordered.size(); ++k) {
+      stamps[i * cap + (head + k) % cap] =
+          static_cast<std::int32_t>(ordered[k].round);
+    }
+  }
+  storage::ColumnarReader reader;
+  ASSERT_TRUE(reader.Parse(current, "SLCK").ok());
+  storage::ColumnarWriter writer("SLCK", core::kStoreSnapshotKind,
+                                 reader.fingerprint(), reader.generation());
+  for (const auto& column : reader.columns()) {
+    if (column.id == 23) continue;
+    writer.Add(column.id, column.elem_width, column.bytes);
+    if (column.id == 19) writer.AddTyped<std::int32_t>(20, stamps);
+  }
+  const auto pre_cursor = writer.Finish();
+
+  BlockStore refused;
+  const auto error = refused.DecodeSnapshot(pre_cursor, fingerprint,
+                                            rounds_done, checkpoints_written);
+  EXPECT_FALSE(error.ok()) << "a pre-cursor ring snapshot decoded";
+  EXPECT_NE(error.detail.find("column 20"), std::string::npos)
+      << error.ToString();
+
+  ASSERT_TRUE(storage::AtomicWrite(env, path, pre_cursor).ok());
+  config.stop_after_rounds = 0;
+  BlockStore store;
+  const auto outcome = core::RunStoreCampaign(store, config);
+  ASSERT_TRUE(outcome.error.empty()) << outcome.error;
+  EXPECT_FALSE(outcome.resumed);
+  EXPECT_EQ(outcome.rounds_done, config.n_rounds);
+  EXPECT_EQ(outcome.digest, clean.digest);
 }
 
 TEST(StoreCampaign, ForeignSnapshotIsIgnoredOnResume) {

@@ -9,11 +9,17 @@
 // and dataset hashes were recorded from the whole-image encoder that
 // assembled every file in one buffer, before the writer learned to
 // gather borrowed column spans straight into the file; the per-block
-// campaign hashes before the pre-v3 encoders were removed. Any mismatch
-// means the on-disk bytes moved: every checkpoint and dataset a campaign
-// ever wrote would stop resuming or comparing equal.
+// campaign hashes before the pre-v3 encoders were removed. The two
+// files that carry series rings (the ring store snapshot and the store
+// campaign checkpoint) were re-recorded once, when the ring's per-slot
+// round column gave way to a per-block last-round cursor; the logical
+// goldens, recorded before that change, prove the content they encode
+// did not move. Any other mismatch means the on-disk bytes moved: every
+// checkpoint and dataset a campaign ever wrote would stop resuming or
+// comparing equal.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -28,6 +34,7 @@
 #include "sleepwalk/net/checksum.h"
 #include "sleepwalk/sim/world.h"
 #include "sleepwalk/storage/file.h"
+#include "sleepwalk/ts/series.h"
 
 namespace sleepwalk::core {
 namespace {
@@ -39,14 +46,29 @@ struct Golden {
 };
 
 constexpr Golden kStoreGolden{31304, 0x6242de1256dce953ULL, 0x8f0e6f1dU};
-constexpr Golden kSeriesStoreGolden{181508, 0x1cae1fe13d63294fULL,
-                                    0x6d6caaf1U};
+constexpr Golden kSeriesStoreGolden{133252, 0x10e0d61149ac072fULL,
+                                    0x12b7a0b5U};
 constexpr Golden kDatasetGolden{11840, 0x37df60221e86322bULL, 0x4c10f0acU};
-constexpr Golden kCampaignGolden{73424, 0xf0357dcadcd24484ULL, 0x20b85f7aU};
+constexpr Golden kCampaignGolden{54672, 0xba89256a73b45432ULL, 0x192bc392U};
 constexpr Golden kSupervisorGolden{20032, 0xe8f0264b2368fe7eULL,
                                    0x7e085ce5U};
 constexpr Golden kStatelessSupervisorGolden{19968, 0x821fa9cb4a5e232dULL,
                                             0x47d869daU};
+
+/// The logical store content, independent of how the arena lays it
+/// out: Digest() and an FNV-1a over every block's CopySeriesOrdered
+/// (round, value) pairs. Recorded before the ring's round column gave
+/// way to a per-block last-round cursor; the byte goldens above may be
+/// re-recorded for a layout change, these may not.
+struct LogicalGolden {
+  std::uint64_t digest;
+  std::uint64_t series_fnv;
+};
+
+constexpr LogicalGolden kSeriesStoreLogical{0x8ec7cc82e962fd09ULL,
+                                            0xd02ae9cf1b5e9d6bULL};
+constexpr LogicalGolden kCampaignLogical{0xcf2c5c6636f9e6acULL,
+                                         0x5b3fb0a799b27fd7ULL};
 
 constexpr std::uint64_t kFingerprint = 0x51ee9b0ddeadbeefULL;
 constexpr std::uint64_t kRoundsDone = 60;
@@ -59,6 +81,34 @@ std::uint64_t Fnv1a(std::span<const std::uint8_t> bytes) {
     hash *= 0x100000001b3ULL;
   }
   return hash;
+}
+
+std::uint64_t SeriesFnv(const BlockStore& store) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto fold = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xff;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  std::vector<ts::Observation> series;
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    store.CopySeriesOrdered(i, series);
+    fold(series.size());
+    for (const auto& sample : series) {
+      fold(static_cast<std::uint64_t>(sample.round));
+      fold(std::bit_cast<std::uint64_t>(sample.value));
+    }
+  }
+  return hash;
+}
+
+void ExpectLogicalGolden(const BlockStore& store,
+                         const LogicalGolden& golden) {
+  EXPECT_EQ(store.Digest(), golden.digest)
+      << std::hex << "digest 0x" << store.Digest() << " series 0x"
+      << SeriesFnv(store);
+  EXPECT_EQ(SeriesFnv(store), golden.series_fnv);
 }
 
 void ExpectGolden(std::span<const std::uint8_t> bytes, const Golden& golden) {
@@ -152,6 +202,22 @@ TEST(SnapshotGolden, SeriesStoreSnapshotBytesAreUnchanged) {
   ExpectSnapshotGolden(SeededStore(48), kSeriesStoreGolden);
 }
 
+TEST(SnapshotGolden, SeriesStoreLogicalContentIsUnchanged) {
+  const BlockStore store = SeededStore(48);
+  ExpectLogicalGolden(store, kSeriesStoreLogical);
+  BlockStore restored;
+  std::uint64_t rounds_done = 0;
+  std::uint64_t checkpoints_written = 0;
+  ASSERT_TRUE(restored
+                  .DecodeSnapshot(store.EncodeSnapshot(kFingerprint,
+                                                       kRoundsDone,
+                                                       kCheckpoints),
+                                  kFingerprint, rounds_done,
+                                  checkpoints_written)
+                  .ok());
+  ExpectLogicalGolden(restored, kSeriesStoreLogical);
+}
+
 TEST(SnapshotGolden, DatasetBytesAreUnchanged) {
   const auto analyses = SeededAnalyses();
   ExpectGolden(EncodeDatasetColumnar(analyses, 660, 1234), kDatasetGolden);
@@ -180,6 +246,7 @@ TEST(SnapshotGolden, StoreCampaignCheckpointBytesAreUnchanged) {
   std::vector<std::uint8_t> written;
   ASSERT_TRUE(env.ReadAll(config.checkpoint_path, written).ok());
   ExpectGolden(written, kCampaignGolden);
+  ExpectLogicalGolden(store, kCampaignLogical);
 }
 
 /// Worker chain owning a private identically-seeded sim transport, so
