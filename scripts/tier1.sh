@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the plain build + full test suite, then the fault
-# subsystem, the simulated world, the storage and snapshot suites, and
-# the spectral kernels and classifier again under AddressSanitizer +
-# UndefinedBehaviorSanitizer.
+# subsystem, the simulated world, the storage and snapshot suites, the
+# spectral kernels and classifier, and the CRC32C checksum again under
+# AddressSanitizer + UndefinedBehaviorSanitizer.
 #
 # The sanitizer pass exists because the resilience paths are exactly the
 # ones that juggle raw state buffers (checkpoint serialization, transport
@@ -121,13 +121,13 @@ if [[ "${1:-}" == "--skip-sanitize" ]]; then
   exit 0
 fi
 
-echo "== tier-1: ASan+UBSan build of the fault/resilience, sim, storage and fft tests =="
+echo "== tier-1: ASan+UBSan build of the fault/resilience, sim, storage, fft and checksum tests =="
 cmake -B build-asan -S . \
   -DSLEEPWALK_SANITIZE="address;undefined" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "${jobs}" --target faults_test integration_test \
   crash_sweep_test sim_test storage_test core_test crash_recovery_test \
-  fft_test fft_stress_test
+  fft_test fft_stress_test net_test
 # sim_test rides along because SimTransport indexes fixed per-octet
 # tables by the low address octet and by `day & 1`, negative days
 # included; its suites are anchored so no other binary's test matches.
@@ -146,7 +146,12 @@ snapshot_suites='BlockStore|StoreCampaign|StoreAnalyzer|CheckpointColumnar|Datas
 # p + 1 or a stage tail past the buffer end is a heap overflow that a
 # tolerance check on the output can miss.
 fft_suites='PlanGolden|Plan|PlanCache|PlanCacheStress|Bluestein|Forward|ForwardReal|Spectrum|SpectrumOptions|ClassifyDiurnal|ClassifySpectrum|DiurnalGolden'
+# CRC32C rides along because its hardware path reads three 8-byte
+# streams a third of a block apart and folds their CRCs: a lane
+# boundary or tail off by one block reads past the buffer, which a
+# matching checksum on in-bounds garbage would not show.
+checksum_suites='Crc32c'
 ctest --test-dir build-asan --output-on-failure -j "${jobs}" --timeout 600 \
-  -R "FaultPlan|GilbertElliott|FaultyTransport|Supervisor|ResilienceReport|Determinism|RestartArtifact|ObsInertness|ObsReconciliation|CrashSweep|^(${sim_suites}|${storage_suites}|${snapshot_suites}|${fft_suites})\\."
+  -R "FaultPlan|GilbertElliott|FaultyTransport|Supervisor|ResilienceReport|Determinism|RestartArtifact|ObsInertness|ObsReconciliation|CrashSweep|^(${sim_suites}|${storage_suites}|${snapshot_suites}|${fft_suites}|${checksum_suites})\\."
 
 echo "== tier-1: all green =="

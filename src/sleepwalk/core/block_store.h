@@ -35,7 +35,8 @@
 //     final estimator state here (columnar mirror of the outcome);
 //   * the scale runner (core/store_campaign.h) drives 100k-1M block
 //     campaigns directly on the columns, checkpointing through the v3
-//     zero-copy snapshot below.
+//     snapshot below (gathered from the arena on write, one copy per
+//     column on decode).
 #ifndef SLEEPWALK_CORE_BLOCK_STORE_H_
 #define SLEEPWALK_CORE_BLOCK_STORE_H_
 
@@ -97,7 +98,9 @@ class BlockStore {
   /// per-block A-hat_s ring-buffer series are carved per block (0 keeps
   /// the store estimator-only). The arena is an anonymous mapping, so
   /// pages the kernel hands out already zeroed are not written until a
-  /// column first uses them, whatever the arena's size.
+  /// column first uses them, whatever the arena's size. The ring-value
+  /// column's 2 MiB-aligned interior is advised onto transparent huge
+  /// pages (see Allocate); the per-block columns stay on base pages.
   void Reset(std::size_t n_blocks, const AvailabilityConfig& config = {},
              std::int32_t series_capacity = 0);
 
@@ -242,7 +245,12 @@ class BlockStore {
  private:
   /// Carves the column layout for `n_blocks` and takes a zeroed arena
   /// for it; Reset adds the estimator defaults, DecodeSnapshot
-  /// overwrites every column instead.
+  /// overwrites every column instead. madvise(MADV_HUGEPAGE) covers the
+  /// 2 MiB-aligned interior of the ring-value column only: the decode
+  /// copy into a fresh ring is bound by 4 KiB first-touch faults, while
+  /// advising the per-block columns too made store seeding slower (a
+  /// first huge fault zeroes 2 MiB for a few hundred KB of seeded
+  /// columns). Where THP is off the advice is a no-op.
   void Allocate(std::size_t n_blocks, const AvailabilityConfig& config,
                 std::int32_t series_capacity);
 

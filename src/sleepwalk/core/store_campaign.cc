@@ -107,7 +107,8 @@ StoreCampaignOutcome RunStoreCampaign(BlockStore& store,
   std::uint64_t checkpoints_written = 0;
 
   if (checkpointing && env.Exists(config.checkpoint_path)) {
-    // Zero-copy resume: map the snapshot, adopt columns in place. A
+    // Resume: map the snapshot (no read copy) and decode it, which
+    // copies each column once from the mapping into a fresh arena. A
     // mismatched fingerprint or corrupt file means a fresh start (the
     // snapshot belongs to some other campaign), never a franken-resume.
     storage::MappedRegion region;

@@ -17,7 +17,8 @@
 //
 // Checkpoint/resume: at every segment boundary the store serializes as
 // an SLCK v3 snapshot (block_store.h) written via storage::AtomicWrite
-// and re-loaded through the storage::Env::Map zero-copy seam. A run
+// and re-loaded by mapping it (storage::Env::Map) and copying each
+// column once into a fresh arena. A run
 // killed at a boundary and resumed — at ANY worker count — finishes
 // with columns byte-identical to an uninterrupted run, which
 // bench/parallel_scaling and the block_store tests verify by digest

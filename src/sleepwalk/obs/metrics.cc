@@ -30,6 +30,8 @@ std::string FormatCount(std::uint64_t value) {
 
 constexpr std::string_view kPrefix = "sleepwalk_";
 
+#ifndef NDEBUG
+// Only the debug-build collision report names a kind.
 std::string_view KindName(std::uint8_t kind) {
   switch (kind) {
     case 0: return "counter";
@@ -37,6 +39,7 @@ std::string_view KindName(std::uint8_t kind) {
     default: return "histogram";
   }
 }
+#endif
 
 std::vector<double> SortedUnique(std::vector<double> bounds) {
   std::sort(bounds.begin(), bounds.end());
@@ -111,9 +114,10 @@ std::uint64_t Histogram::CumulativeCount(std::size_t i) const noexcept {
   return total;
 }
 
-void Registry::NoteKindCollision(std::string_view name,
-                                 std::string_view requested,
-                                 Instrument::Kind existing) const noexcept {
+void Registry::NoteKindCollision(
+    [[maybe_unused]] std::string_view name,
+    [[maybe_unused]] std::string_view requested,
+    [[maybe_unused]] Instrument::Kind existing) const noexcept {
   kind_collisions_.fetch_add(1, std::memory_order_relaxed);
 #ifndef NDEBUG
   const auto existing_name = KindName(static_cast<std::uint8_t>(existing));

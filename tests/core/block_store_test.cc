@@ -575,6 +575,80 @@ TEST(StoreCampaign, KillAndResumeWithSeriesAndClassifyIsByteIdentical) {
       << "final snapshot (with verdicts + rings) diverged after kill/resume";
 }
 
+// The ring-value column is the one column advised onto transparent
+// huge pages, over its 2 MiB-aligned interior. 2,000 blocks x 400 slots
+// is a 6.4 MB ring, so that interior holds at least one whole huge page
+// wherever the column starts; the smaller rings above hold none. Where
+// THP is on, the resumed arena's ring, the fresh arena after Reset and
+// the decoded store all run on huge pages; where it is off, the same
+// assertions hold on base pages.
+TEST(BlockStore, HugePageRingKillResumeResetAndDecode) {
+  const std::string path = "/ckpt/huge_ring.slck";
+  const auto configure = [&path](storage::Env& env) {
+    StoreCampaignConfig config;
+    config.n_blocks = 2'000;
+    config.n_rounds = 420;  // the rings wrap before the end
+    config.seed = 0x2a1b;
+    config.checkpoint_path = path;
+    config.checkpoint_every_rounds = 140;
+    config.env = &env;
+    config.series_capacity = 400;
+    return config;
+  };
+
+  MemEnv clean_env;
+  auto clean_config = configure(clean_env);
+  clean_config.workers = 2;
+  BlockStore clean_store;
+  const auto clean = core::RunStoreCampaign(clean_store, clean_config);
+  ASSERT_TRUE(clean.error.empty()) << clean.error;
+  ASSERT_GE(clean_store.series_values().size_bytes(),
+            std::size_t{3} * (std::size_t{2} << 20));
+  std::vector<std::uint8_t> clean_file;
+  ASSERT_TRUE(clean_env.ReadAll(path, clean_file).ok());
+
+  MemEnv env;
+  auto config = configure(env);
+  config.workers = 3;
+  config.stop_after_rounds = 200;  // killed at the round-280 boundary
+  BlockStore first;
+  const auto killed = core::RunStoreCampaign(first, config);
+  ASSERT_TRUE(killed.error.empty()) << killed.error;
+  EXPECT_TRUE(killed.stopped_early);
+
+  config.stop_after_rounds = 0;
+  config.workers = 1;
+  BlockStore second;
+  const auto resumed = core::RunStoreCampaign(second, config);
+  ASSERT_TRUE(resumed.error.empty()) << resumed.error;
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.digest, clean.digest);
+  std::vector<std::uint8_t> resumed_file;
+  ASSERT_TRUE(env.ReadAll(path, resumed_file).ok());
+  EXPECT_EQ(resumed_file == clean_file, true)
+      << "final snapshot diverged after kill/resume over a huge-page ring";
+
+  // The writer's digest survives a decode into a fresh arena.
+  BlockStore decoded;
+  std::uint64_t rounds_done = 0;
+  std::uint64_t checkpoints_written = 0;
+  ASSERT_TRUE(decoded
+                  .DecodeSnapshot(clean_file,
+                                  core::StoreCampaignFingerprint(clean_config),
+                                  rounds_done, checkpoints_written)
+                  .ok());
+  EXPECT_EQ(rounds_done, 420u);
+  EXPECT_EQ(decoded.Digest(), clean_store.Digest());
+
+  // A Reset maps a fresh arena: no sample of the old ring shows through.
+  clean_store.Reset(2'000, {}, 400);
+  const auto values = clean_store.series_values();
+  ASSERT_EQ(values.size(), std::size_t{2'000} * 400);
+  std::size_t nonzero = 0;
+  for (const double value : values) nonzero += value != 0.0 ? 1 : 0;
+  EXPECT_EQ(nonzero, 0u);
+}
+
 // A snapshot in the ring layout from before the last-round cursor:
 // column 20 carries every slot's i32 round stamp (n * capacity rows)
 // and column 23 is absent. It must be refused, and a campaign finding it
