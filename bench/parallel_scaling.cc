@@ -274,17 +274,18 @@ LargeScale RunLarge() {
             << "capacity " << result.series_capacity << ")\n";
 
   // Scale-derived RSS ceiling: the arena (per-block fixed columns +
-  // the rings) is the unavoidable footprint. Rings are budgeted at 12
-  // bytes per slot, their cost before the per-slot round stamp became
-  // a per-block cursor; they now take 8, so the ceiling is looser than
-  // the arena alone calls for (ROADMAP 12a re-derives it). The
-  // budget grants ~5 arena images (store + snapshot encode + MemEnv
+  // the rings) is the unavoidable footprint. A ring slot costs 8 bytes
+  // (its round is derived from a per-block cursor), and the whole ring
+  // counts as resident from round 0: it sits on transparent huge pages,
+  // so its first write faults in 2 MiB at a time, not one slot's page.
+  // The budget grants ~5 arena images (store + snapshot encode + MemEnv
   // file + atomic-write staging) plus fixed slack for the binary and
-  // the small scale. A leak or an accidental per-block materialization
-  // in the sweep blows through this on any machine.
+  // the small scale: ~2,672 MB at 100k blocks x 400 slots. A leak or an
+  // accidental per-block materialization in the sweep blows through
+  // this on any machine.
   const double arena_mb =
       static_cast<double>(result.blocks) *
-      (static_cast<double>(result.series_capacity) * 12.0 + 256.0) /
+      (static_cast<double>(result.series_capacity) * 8.0 + 256.0) /
       (1024.0 * 1024.0);
   result.rss_budget_mb = arena_mb * 5.0 + 1024.0;
 

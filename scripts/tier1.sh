@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the plain build + full test suite, then the fault
+# Tier-1 verification: the plain build + full test suite and the
+# telemetry, admin, storage and benchmark smokes; then the fault
 # subsystem, the simulated world, the storage and snapshot suites, the
 # spectral kernels and classifier, and the CRC32C checksum again under
 # AddressSanitizer + UndefinedBehaviorSanitizer.
@@ -115,6 +116,12 @@ if build/tools/slck_fsck "${smoke}/bad3.slpw" >/dev/null; then
   exit 1
 fi
 echo "storage smoke OK"
+
+echo "== tier-1: benchmark smoke (sleepbench, all four workloads) =="
+# Builds bench/sleepbench against src/ and checks every workload's digest
+# against bench/sleepbench/references.txt: a library change that breaks
+# the benchmark's build or moves a reference digest fails here.
+scripts/sleepbench_smoke.sh
 
 if [[ "${1:-}" == "--skip-sanitize" ]]; then
   echo "== tier-1: sanitizer pass skipped =="

@@ -322,7 +322,9 @@ BlockResult RunBlock(std::size_t index, BlockTarget& target,
     analyzer.Finish(scratch, out.commit.analysis);
   }
 
-  out.commit.estimator = analyzer.ExportState().estimator;
+  // Only the estimator's six numbers: ExportState() would also copy the
+  // block's whole raw series and outage lists.
+  out.commit.estimator = analyzer.estimator().ExportState();
   out.commit.block = target.block;
   out.commit.quarantined = quarantined;
   out.commit.delta = delta;

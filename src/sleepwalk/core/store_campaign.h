@@ -13,7 +13,11 @@
 // final columns byte-for-byte. Workers own contiguous ranges (no
 // stealing, no false sharing: ranges are long and columns are
 // 64-byte-aligned); the only synchronization is the join at each
-// checkpoint-segment boundary.
+// checkpoint-segment boundary. Within a segment a worker runs its range
+// in tiles of 128 blocks, every round of the segment on one tile before
+// the next, so a tile's columns and ring lines stay in L1d across
+// rounds (store_campaign.cc, kTileBlocks). Each block still sees its
+// rounds in order, so the tile order is as invisible as the partition.
 //
 // Checkpoint/resume: at every segment boundary the store serializes as
 // an SLCK v3 snapshot (block_store.h) written via storage::AtomicWrite

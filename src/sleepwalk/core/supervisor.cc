@@ -354,7 +354,7 @@ CampaignOutcome RunResilientCampaign(std::vector<BlockTarget> targets,
 
     analyzer.Finish(analysis_scratch, finished);
     ledger.FinishBlock(finished, quarantined,
-                       analyzer.ExportState().estimator);
+                       analyzer.estimator().ExportState());
     const bool boundary_due =
         config.checkpoint_every_blocks <= 1 ||
         (i + 1) % static_cast<std::size_t>(config.checkpoint_every_blocks) ==
