@@ -1,6 +1,6 @@
 // Spectral-kernel benchmarks (google-benchmark): plan-based transforms
 // vs the plan-free reference kernels at campaign-realistic sizes, plus
-// the Goertzel-vs-FFT crossover for the quick screen.
+// the Goertzel-vs-FFT crossover.
 //
 // The custom main additionally writes BENCH_fft.json (override the path
 // with SLEEPWALK_BENCH_FFT_OUT, empty string to skip) for
@@ -14,8 +14,8 @@
 //     gate requires to stay >= 2x (plan + real-input vs the planless
 //     ForwardReal the analyzer used before the plan cache);
 //   * the bin count at which a planned full FFT beats per-bin Goertzel —
-//     below the crossover the quick screen's O(n)-per-bin pass wins,
-//     above it the screen should just take the FFT.
+//     below the crossover a few O(n) Goertzel bins are cheaper, above
+//     it the full FFT is.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "sleepwalk/core/quick_screen.h"
 #include "sleepwalk/fft/fft.h"
 #include "sleepwalk/fft/goertzel.h"
 #include "sleepwalk/fft/plan.h"
@@ -94,16 +93,6 @@ void BM_InversePlanned(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InversePlanned);
-
-void BM_QuickScreenGoertzel(benchmark::State& state) {
-  const auto series = MakeSeries(1834);
-  std::vector<double> centered;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::QuickDiurnalScreen(series, 14, {}, centered));
-  }
-}
-BENCHMARK(BM_QuickScreenGoertzel);
 
 // --- plan ablation -> BENCH_fft.json -----------------------------------
 

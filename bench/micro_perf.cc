@@ -30,7 +30,6 @@
 
 #include "sleepwalk/core/block_analyzer.h"
 #include "sleepwalk/core/diurnal.h"
-#include "sleepwalk/core/quick_screen.h"
 #include "sleepwalk/core/status.h"
 #include "sleepwalk/fft/fft.h"
 #include "sleepwalk/fft/goertzel.h"
@@ -119,16 +118,6 @@ void BM_SpectrumAndClassifyInstrumented(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpectrumAndClassifyInstrumented);
-
-void BM_QuickScreen(benchmark::State& state) {
-  // The O(n) Goertzel prefilter vs the full classify above: the
-  // two-stage triage saves the FFT on clearly non-diurnal blocks.
-  const auto series = MakeSeries(1833);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::QuickDiurnalScreen(series, 14));
-  }
-}
-BENCHMARK(BM_QuickScreen);
 
 void BM_AvailabilityEstimatorObserve(benchmark::State& state) {
   core::AvailabilityEstimator estimator{0.5};

@@ -32,7 +32,6 @@ struct AnalysisScratch {
   ts::RegularizeScratch regularize;  ///< per-round slot tables
   ts::EvenSeries even;            ///< regularized series
   std::vector<double> index;      ///< stationarity regressor (0, 1, ...)
-  std::vector<double> centered;   ///< quick-screen mean-removed series
   // Columnar sweep buffers (core/store_analyzer.h, dataset reanalysis):
   std::vector<ts::Observation> observations;  ///< ring copy, round order
   ts::EvenSeries trimmed;         ///< midnight-trimmed series (no out.)

@@ -37,8 +37,7 @@ constexpr std::uint32_t kColObservedDays = 15;
 constexpr std::uint32_t kColMeanShort = 16;
 constexpr std::uint32_t kColFinalOperational = 17;
 constexpr std::uint32_t kColMeanProbes = 18;
-// Series ring columns (absent when series_capacity == 0; an estimator-
-// only file with a 2-word META still decodes).
+// Series ring columns (absent when series_capacity == 0).
 constexpr std::uint32_t kColSeriesValue = 19;
 // Id 20 held the n * capacity i32 round stamp of every ring slot. It
 // is retired, never to be reused: a file that still carries it predates
@@ -510,8 +509,8 @@ storage::ColumnarWriter BlockStore::SnapshotWriter(
     std::uint64_t checkpoints_written) const {
   storage::ColumnarWriter writer(kStoreMagic, kStoreSnapshotKind,
                                  fingerprint, checkpoints_written);
-  // Three META words since the series columns landed; estimator-only
-  // snapshots from before carry two (DecodeSnapshot accepts both).
+  // META is always three words; DecodeSnapshot refuses any other
+  // layout.
   const std::uint64_t meta[3] = {
       rounds_done, checkpoints_written,
       static_cast<std::uint64_t>(series_capacity_)};
@@ -571,14 +570,13 @@ storage::Error BlockStore::DecodeSnapshot(
   if (reader.fingerprint() != expect_fingerprint) {
     return SnapshotError(path, "campaign fingerprint mismatch");
   }
-  // 2 META words = a PR 9 estimator-only snapshot (no series columns);
-  // 3 = current layout with the ring capacity in meta[2].
+  // META is {rounds_done, checkpoints_written, series capacity}; an
+  // estimator-only store writes capacity 0.
   std::span<const std::uint64_t> meta;
-  if (!reader.FetchTyped(kColMeta, 3, meta) &&
-      !reader.FetchTyped(kColMeta, 2, meta)) {
+  if (!reader.FetchTyped(kColMeta, 3, meta)) {
     return SnapshotError(path, "META column missing or malformed");
   }
-  const std::uint64_t meta_capacity = meta.size() == 3 ? meta[2] : 0;
+  const std::uint64_t meta_capacity = meta[2];
   if (meta_capacity > (1ull << 30)) {
     return SnapshotError(path, "implausible series capacity");
   }

@@ -8,13 +8,13 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "sleepwalk/core/campaign_ledger.h"
 #include "sleepwalk/core/checkpoint.h"
 #include "sleepwalk/core/status.h"
 #include "sleepwalk/storage/instrumented_env.h"
+#include "sleepwalk/util/parallel.h"
 #include "sleepwalk/util/rng.h"
 #include "sleepwalk/util/sync.h"
 
@@ -340,11 +340,6 @@ BlockResult RunBlock(std::size_t index, BlockTarget& target,
 
 }  // namespace
 
-int HardwareWorkers() noexcept {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
 CampaignOutcome RunParallelCampaign(std::vector<BlockTarget> targets,
                                     const ShardFactory& factory,
                                     std::int64_t n_rounds,
@@ -499,42 +494,10 @@ CampaignOutcome RunParallelCampaign(std::vector<BlockTarget> targets,
   // never folded into campaign results or deterministic telemetry.
   std::vector<std::atomic<std::uint64_t>> blocks_run(n_workers);
 
-  std::vector<std::thread> pool;
-  pool.reserve(n_workers);
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    pool.emplace_back([&, w] {
-      auto& chain = *chains[w];
-      AnalysisScratch scratch;  // reused for every block this worker runs
-      while (!stop.load(std::memory_order_relaxed)) {
-        const auto index = queue.Pop(w);
-        if (!index) break;
-        completions.Push(
-            RunBlock(*index, targets[*index], chain, config, n_rounds,
-                     shape, scratch));
-        blocks_run[w].fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  // Joins the pool on every exit from this frame — including a crash
-  // failpoint (util::CrashInjected) unwinding out of a checkpoint save
-  // in the commit loop below. Without this, ~thread() on a joinable
-  // worker would turn the simulated power cut into std::terminate.
-  struct PoolJoiner {
-    std::atomic<bool>& stop;
-    std::vector<std::thread>& pool;
-    ~PoolJoiner() {
-      stop.store(true, std::memory_order_relaxed);
-      for (auto& thread : pool) {
-        if (thread.joinable()) thread.join();
-      }
-    }
-  } join_pool{stop, pool};
-
-  // Declared after the joiner so the provider detaches before any worker
-  // state it reads (queue, blocks_run, ledger) is torn down. The provider
-  // is a pure reader: it takes only the hub's and the ledger's locks
-  // (lock order hub -> ledger) and never writes campaign state.
+  // Declared after the worker state it reads (queue, blocks_run, ledger)
+  // so it detaches before that state is torn down. The provider is a
+  // pure reader: it takes only the hub's and the ledger's locks (lock
+  // order hub -> ledger) and never writes campaign state.
   StatusHub::Registration status_registration;
   if (config.status != nullptr) {
     const std::size_t blocks_total = targets.size();
@@ -576,114 +539,140 @@ CampaignOutcome RunParallelCampaign(std::vector<BlockTarget> targets,
         });
   }
 
+  // Worker 0 is this thread, running the ordered commit loop; workers
+  // 1..n_workers run blocks off the queue. Every exit from the commit
+  // loop (its end, stop_after_rounds, or a crash failpoint —
+  // util::CrashInjected — unwinding out of a checkpoint save) raises
+  // `stop` first, so block workers quit at their next pop instead of
+  // draining the queue; ParallelFor joins them before it returns or
+  // rethrows.
   bool stopped = false;
-  for (std::size_t i = first_block; i < targets.size(); ++i) {
-    BlockResult result = completions.WaitFor(i);
-    const std::int64_t processed_rounds =
-        ledger.CommitBlock(std::move(result.commit));
+  const auto commit_blocks = [&] {
+    struct StopWorkers {
+      std::atomic<bool>& stop;
+      ~StopWorkers() { stop.store(true, std::memory_order_relaxed); }
+    } stop_workers{stop};
+    for (std::size_t i = first_block; i < targets.size(); ++i) {
+      BlockResult result = completions.WaitFor(i);
+      const std::int64_t processed_rounds =
+          ledger.CommitBlock(std::move(result.commit));
 
-    // Merge this block's buffered telemetry — registry first (values),
-    // then log bytes, then spans — and advance the campaign clock to the
-    // block's final virtual time so the coordinator's own records (the
-    // checkpoint write, the heartbeat) are stamped where the sequential
-    // loop would stamp them.
-    if (obs.metrics != nullptr && result.registry != nullptr) {
-      obs.metrics->MergeFrom(*result.registry);
-    }
-    if (obs.log != nullptr) {
-      obs.log->AppendRaw(result.log_text, result.log_jsonl);
-    }
-    if (obs.tracer != nullptr) obs.tracer->Graft(result.spans);
-    if (result.final_vt >= 0) obs.SetVirtualTime(result.final_vt);
-    // The gauge merge is last-wins, so restore the campaign-level gauges
-    // the block-local registries know nothing about.
-    if (metrics.blocks_done != nullptr) {
-      metrics.blocks_done->Set(static_cast<double>(ledger.blocks_done()));
-    }
-    if (metrics.blocks_total != nullptr) {
-      metrics.blocks_total->Set(static_cast<double>(targets.size()));
-    }
-
-    const bool boundary_due =
-        config.checkpoint_every_blocks <= 1 ||
-        (i + 1) % static_cast<std::size_t>(config.checkpoint_every_blocks) ==
-            0 ||
-        i + 1 == targets.size();  // completion always checkpoints
-    if (!config.checkpoint_path.empty() && boundary_due) {
-      Checkpoint checkpoint = ledger.BuildCheckpointSnapshot(
-          fingerprint, i + 1, /*has_inflight=*/false, 0, 0, nullptr);
-      const auto span = obs.Span("checkpoint.write");
-      const std::uint64_t save_start = MonotonicNowNs();
-      const auto error = store.Save(checkpoint);
-      checkpoint_wall_ns.fetch_add(MonotonicNowNs() - save_start,
-                                   std::memory_order_relaxed);
-      const bool ok = error.ok();
-      ledger.NoteCheckpointWritten(ok);
-      if (ok && metrics.checkpoints != nullptr) metrics.checkpoints->Inc();
-      const auto level = ok ? obs::Level::kDebug : obs::Level::kError;
-      if (obs.Logs(level)) {
-        obs.log->Write(level, "checkpoint.write",
-                       {{"path", config.checkpoint_path},
-                        {"fingerprint", fingerprint},
-                        {"next_block", static_cast<std::uint64_t>(i + 1)},
-                        {"inflight", false},
-                        {"ok", ok},
-                        {"error", ok ? std::string{} : error.ToString()}});
+      // Merge this block's buffered telemetry — registry first (values),
+      // then log bytes, then spans — and advance the campaign clock to the
+      // block's final virtual time so the coordinator's own records (the
+      // checkpoint write, the heartbeat) are stamped where the sequential
+      // loop would stamp them.
+      if (obs.metrics != nullptr && result.registry != nullptr) {
+        obs.metrics->MergeFrom(*result.registry);
       }
-    }
-
-    if (config.stop_after_rounds > 0 &&
-        processed_rounds >= config.stop_after_rounds) {
-      ledger.NoteStoppedEarly();
-      if (obs.Logs(obs::Level::kInfo)) {
-        obs.log->Write(obs::Level::kInfo, "campaign.stopped",
-                       {{"blocks_done", static_cast<std::uint64_t>(i + 1)},
-                        {"rounds_done", processed_rounds},
-                        {"reason", "stop_after_rounds"}});
+      if (obs.log != nullptr) {
+        obs.log->AppendRaw(result.log_text, result.log_jsonl);
       }
-      stopped = true;
-      break;
-    }
+      if (obs.tracer != nullptr) obs.tracer->Graft(result.spans);
+      if (result.final_vt >= 0) obs.SetVirtualTime(result.final_vt);
+      // The gauge merge is last-wins, so restore the campaign-level gauges
+      // the block-local registries know nothing about.
+      if (metrics.blocks_done != nullptr) {
+        metrics.blocks_done->Set(static_cast<double>(ledger.blocks_done()));
+      }
+      if (metrics.blocks_total != nullptr) {
+        metrics.blocks_total->Set(static_cast<double>(targets.size()));
+      }
 
-    CampaignProgress heartbeat;
-    heartbeat.blocks_done = i + 1;
-    heartbeat.blocks_total = targets.size();
-    heartbeat.rounds_done = processed_rounds;
-    heartbeat.quarantined = ledger.stats_snapshot().quarantined_blocks;
-    const double elapsed_sec =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now()  // sleeplint: allow(no-wallclock)
-            - wall_start)
-            .count();
-    if (elapsed_sec > 0.0) {
-      heartbeat.rounds_per_sec =
-          static_cast<double>(heartbeat.rounds_done) / elapsed_sec;
-    }
-    if (!config.checkpoint_path.empty() &&
-        config.checkpoint_every_rounds > 0) {
-      heartbeat.rounds_to_checkpoint =
-          config.checkpoint_every_rounds -
-          heartbeat.rounds_done % config.checkpoint_every_rounds;
-    }
-    if (!deterministic && metrics.rounds_per_sec != nullptr) {
-      metrics.rounds_per_sec->Set(heartbeat.rounds_per_sec);
-    }
-    if (obs.Logs(obs::Level::kDebug)) {
-      obs.log->Write(
-          obs::Level::kDebug, "campaign.heartbeat",
-          {{"blocks_done", static_cast<std::uint64_t>(heartbeat.blocks_done)},
-           {"blocks_total",
-            static_cast<std::uint64_t>(heartbeat.blocks_total)},
-           {"rounds_done", heartbeat.rounds_done},
-           {"quarantined", heartbeat.quarantined}});
-    }
-    if (config.progress) config.progress(heartbeat);
-  }
+      const bool boundary_due =
+          config.checkpoint_every_blocks <= 1 ||
+          (i + 1) % static_cast<std::size_t>(config.checkpoint_every_blocks) ==
+              0 ||
+          i + 1 == targets.size();  // completion always checkpoints
+      if (!config.checkpoint_path.empty() && boundary_due) {
+        Checkpoint checkpoint = ledger.BuildCheckpointSnapshot(
+            fingerprint, i + 1, /*has_inflight=*/false, 0, 0, nullptr);
+        const auto span = obs.Span("checkpoint.write");
+        const std::uint64_t save_start = MonotonicNowNs();
+        const auto error = store.Save(checkpoint);
+        checkpoint_wall_ns.fetch_add(MonotonicNowNs() - save_start,
+                                     std::memory_order_relaxed);
+        const bool ok = error.ok();
+        ledger.NoteCheckpointWritten(ok);
+        if (ok && metrics.checkpoints != nullptr) metrics.checkpoints->Inc();
+        const auto level = ok ? obs::Level::kDebug : obs::Level::kError;
+        if (obs.Logs(level)) {
+          obs.log->Write(level, "checkpoint.write",
+                         {{"path", config.checkpoint_path},
+                          {"fingerprint", fingerprint},
+                          {"next_block", static_cast<std::uint64_t>(i + 1)},
+                          {"inflight", false},
+                          {"ok", ok},
+                          {"error", ok ? std::string{} : error.ToString()}});
+        }
+      }
 
-  stop.store(true, std::memory_order_relaxed);
-  for (auto& thread : pool) {
-    if (thread.joinable()) thread.join();
-  }
+      if (config.stop_after_rounds > 0 &&
+          processed_rounds >= config.stop_after_rounds) {
+        ledger.NoteStoppedEarly();
+        if (obs.Logs(obs::Level::kInfo)) {
+          obs.log->Write(obs::Level::kInfo, "campaign.stopped",
+                         {{"blocks_done", static_cast<std::uint64_t>(i + 1)},
+                          {"rounds_done", processed_rounds},
+                          {"reason", "stop_after_rounds"}});
+        }
+        stopped = true;
+        break;
+      }
+
+      CampaignProgress heartbeat;
+      heartbeat.blocks_done = i + 1;
+      heartbeat.blocks_total = targets.size();
+      heartbeat.rounds_done = processed_rounds;
+      heartbeat.quarantined = ledger.stats_snapshot().quarantined_blocks;
+      const double elapsed_sec =
+          std::chrono::duration<double>(
+              // sleeplint: allow(no-wallclock)
+              std::chrono::steady_clock::now() - wall_start)
+              .count();
+      if (elapsed_sec > 0.0) {
+        heartbeat.rounds_per_sec =
+            static_cast<double>(heartbeat.rounds_done) / elapsed_sec;
+      }
+      if (!config.checkpoint_path.empty() &&
+          config.checkpoint_every_rounds > 0) {
+        heartbeat.rounds_to_checkpoint =
+            config.checkpoint_every_rounds -
+            heartbeat.rounds_done % config.checkpoint_every_rounds;
+      }
+      if (!deterministic && metrics.rounds_per_sec != nullptr) {
+        metrics.rounds_per_sec->Set(heartbeat.rounds_per_sec);
+      }
+      if (obs.Logs(obs::Level::kDebug)) {
+        obs.log->Write(
+            obs::Level::kDebug, "campaign.heartbeat",
+            {{"blocks_done", static_cast<std::uint64_t>(heartbeat.blocks_done)},
+             {"blocks_total",
+              static_cast<std::uint64_t>(heartbeat.blocks_total)},
+             {"rounds_done", heartbeat.rounds_done},
+             {"quarantined", heartbeat.quarantined}});
+      }
+      if (config.progress) config.progress(heartbeat);
+    }
+  };
+  const auto run_blocks = [&](std::size_t w) {
+    auto& chain = *chains[w];
+    AnalysisScratch scratch;  // reused for every block this worker runs
+    while (!stop.load(std::memory_order_relaxed)) {
+      const auto index = queue.Pop(w);
+      if (!index) break;
+      completions.Push(RunBlock(*index, targets[*index], chain, config,
+                                n_rounds, shape, scratch));
+      blocks_run[w].fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  util::ParallelFor(n_workers + 1, [&](std::size_t w) {
+    if (w == 0) {
+      commit_blocks();
+    } else {
+      run_blocks(w - 1);
+    }
+  });
 
   if (!stopped) emit_done();
   return ledger.TakeOutcome();

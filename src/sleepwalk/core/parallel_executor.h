@@ -33,12 +33,13 @@
 #include "sleepwalk/net/transport.h"
 #include "sleepwalk/obs/context.h"
 #include "sleepwalk/report/resilience.h"
+#include "sleepwalk/util/parallel.h"
 
 namespace sleepwalk::core {
 
 /// Number of workers a default-configured executor uses: the hardware
-/// concurrency, floored at 1.
-int HardwareWorkers() noexcept;
+/// concurrency, floored at 1 (util/parallel.h).
+using util::HardwareWorkers;
 
 /// One worker's private transport chain. The factory must build chains
 /// that are *interchangeable*: identically seeded and identically

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
 #include <utility>
 
 #include "sleepwalk/core/campaign_ledger.h"
@@ -10,6 +9,7 @@
 #include "sleepwalk/core/dataset_columnar.h"
 #include "sleepwalk/core/parallel_executor.h"
 #include "sleepwalk/core/supervisor.h"
+#include "sleepwalk/util/parallel.h"
 
 namespace sleepwalk::core {
 
@@ -37,32 +37,20 @@ std::vector<BlockAnalysis> ReanalyzeDataset(const Dataset& dataset,
   if (n == 0) return analyses;
   const std::size_t n_workers = std::min<std::size_t>(
       static_cast<std::size_t>(workers > 0 ? workers : HardwareWorkers()), n);
-  if (n_workers <= 1) {
-    AnalysisScratch scratch;
-    for (std::size_t i = 0; i < n; ++i) {
-      Reanalyze(dataset.blocks[i], config, scratch, analyses[i]);
-    }
-    return analyses;
-  }
   // Classification is a pure function of one stored series, so a shared
   // claim counter plus by-index writes into the pre-sized vector needs
   // no further synchronization and keeps the output order fixed. Each
   // worker owns one AnalysisScratch for its whole run, so the loop
   // allocates only while buffer capacities warm up.
   std::atomic<std::size_t> next{0};
-  std::vector<std::thread> pool;
-  pool.reserve(n_workers);
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    pool.emplace_back([&] {
-      AnalysisScratch scratch;
-      while (true) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        Reanalyze(dataset.blocks[i], config, scratch, analyses[i]);
-      }
-    });
-  }
-  for (auto& thread : pool) thread.join();
+  util::ParallelFor(n_workers, [&](std::size_t) {
+    AnalysisScratch scratch;
+    while (true) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      Reanalyze(dataset.blocks[i], config, scratch, analyses[i]);
+    }
+  });
   return analyses;
 }
 
@@ -74,36 +62,22 @@ DiurnalCounts ReanalyzeDatasetColumnar(const ColumnarDatasetView& view,
   if (n == 0) return counts;
   const std::size_t n_workers = std::min<std::size_t>(
       static_cast<std::size_t>(workers > 0 ? workers : HardwareWorkers()), n);
-  if (n_workers <= 1) {
-    AnalysisScratch scratch;
-    BlockAnalysis analysis;
-    for (std::size_t i = 0; i < n; ++i) {
-      ReanalyzeColumnar(view, i, config, scratch, analysis);
-      ClassifyAnalysis(analysis, /*quarantined=*/false, counts);
-    }
-    return counts;
-  }
   // Same claim-counter fan-out as ReanalyzeDataset, but each worker
   // folds into a private DiurnalCounts and reuses ONE BlockAnalysis —
   // nothing per-block is ever materialized, which is what lets the
   // 1M-block sweep run in O(workers) memory over the mapping.
   std::atomic<std::size_t> next{0};
   std::vector<DiurnalCounts> partial(n_workers);
-  std::vector<std::thread> pool;
-  pool.reserve(n_workers);
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    pool.emplace_back([&, w] {
-      AnalysisScratch scratch;
-      BlockAnalysis analysis;
-      while (true) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        ReanalyzeColumnar(view, i, config, scratch, analysis);
-        ClassifyAnalysis(analysis, /*quarantined=*/false, partial[w]);
-      }
-    });
-  }
-  for (auto& thread : pool) thread.join();
+  util::ParallelFor(n_workers, [&](std::size_t w) {
+    AnalysisScratch scratch;
+    BlockAnalysis analysis;
+    while (true) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      ReanalyzeColumnar(view, i, config, scratch, analysis);
+      ClassifyAnalysis(analysis, /*quarantined=*/false, partial[w]);
+    }
+  });
   for (const auto& p : partial) {
     counts.strict += p.strict;
     counts.relaxed += p.relaxed;

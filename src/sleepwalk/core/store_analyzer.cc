@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include "sleepwalk/ts/clean.h"
 #include "sleepwalk/ts/stationarity.h"
+#include "sleepwalk/util/parallel.h"
 
 namespace sleepwalk::core {
 
@@ -74,22 +74,9 @@ StoreAnalyzeStats AnalyzeStoreRange(BlockStore& store, std::size_t begin,
             .stationary;
 
     ++stats.classified;
-    DiurnalResult diurnal;
-    bool run_fft = true;
-    if (config.goertzel_screen) {
-      const auto screen =
-          QuickDiurnalScreen(scratch.trimmed.values, verdict.observed_days,
-                             config.screen, scratch.centered);
-      if (!screen.pass) {
-        run_fft = false;  // triaged non-diurnal, skip the transform
-        ++stats.screened_out;
-      }
-    }
-    if (run_fft) {
-      diurnal = ClassifyDiurnal(scratch.trimmed.values,
-                                verdict.observed_days, config.diurnal,
-                                nullptr, scratch);
-    }
+    const DiurnalResult diurnal =
+        ClassifyDiurnal(scratch.trimmed.values, verdict.observed_days,
+                        config.diurnal, nullptr, scratch);
     verdict.classification =
         static_cast<std::uint8_t>(diurnal.classification);
     if (diurnal.IsDiurnal()) ++stats.diurnal;
@@ -101,36 +88,21 @@ StoreAnalyzeStats AnalyzeStoreRange(BlockStore& store, std::size_t begin,
 StoreAnalyzeStats AnalyzeStore(BlockStore& store,
                                const StoreAnalyzerConfig& config,
                                int workers) {
-  const std::size_t n = store.size();
-  const int used = std::max(
-      1, std::min(workers, static_cast<int>(n == 0 ? 1 : n)));
-  if (used == 1) {
-    AnalysisScratch scratch;
-    return AnalyzeStoreRange(store, 0, n, config, scratch);
-  }
   // Contiguous ranges like the campaign's RunSegment: every verdict is
   // index-local, so the columns come out byte-identical at any width.
-  std::vector<StoreAnalyzeStats> partial(static_cast<std::size_t>(used));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(used));
-  const std::size_t chunk = (n + used - 1) / used;
-  for (int w = 0; w < used; ++w) {
-    const std::size_t begin = std::min(n, w * chunk);
-    const std::size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    pool.emplace_back([&store, &config, &partial, w, begin, end] {
-      AnalysisScratch scratch;
-      partial[static_cast<std::size_t>(w)] =
-          AnalyzeStoreRange(store, begin, end, config, scratch);
-    });
-  }
-  for (auto& thread : pool) thread.join();
+  const auto ranges = util::SplitRange(
+      store.size(), static_cast<std::size_t>(std::max(workers, 1)));
+  std::vector<StoreAnalyzeStats> partial(ranges.size());
+  util::ParallelFor(ranges.size(), [&](std::size_t w) {
+    AnalysisScratch scratch;
+    partial[w] = AnalyzeStoreRange(store, ranges[w].begin, ranges[w].end,
+                                   config, scratch);
+  });
   StoreAnalyzeStats stats;
   for (const auto& p : partial) {
     stats.analyzed += p.analyzed;
     stats.classified += p.classified;
     stats.diurnal += p.diurnal;
-    stats.screened_out += p.screened_out;
   }
   return stats;
 }

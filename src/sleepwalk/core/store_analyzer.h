@@ -15,12 +15,6 @@
 // — same ts::/core:: calls, same doubles, same order; proven by
 // tests/core/store_analyzer_test.cc and re-checked at scale by
 // bench/parallel_scaling.
-//
-// The optional Goertzel screen (core/quick_screen.h) is a triage mode
-// for streaming deployments: blocks failing the O(n) screen skip the
-// FFT and are declared non-diurnal. It trades a bounded screening loss
-// for ~100x less spectral work, so it is OFF by default — the
-// equivalence contract above holds only with the screen disabled.
 #ifndef SLEEPWALK_CORE_STORE_ANALYZER_H_
 #define SLEEPWALK_CORE_STORE_ANALYZER_H_
 
@@ -29,24 +23,16 @@
 #include "sleepwalk/core/analysis_scratch.h"
 #include "sleepwalk/core/block_store.h"
 #include "sleepwalk/core/diurnal.h"
-#include "sleepwalk/core/quick_screen.h"
 #include "sleepwalk/probing/scheduler.h"
 
 namespace sleepwalk::core {
 
-/// Sweep knobs: the analysis-stage subset of AnalyzerConfig plus the
-/// screen toggle.
+/// Sweep knobs: the analysis-stage subset of AnalyzerConfig.
 struct StoreAnalyzerConfig {
   probing::ScheduleConfig schedule;  ///< round_seconds + epoch_sec
   DiurnalConfig diurnal;
   /// Stationarity threshold: address changes per day (§2.2).
   double max_trend_addresses_per_day = 1.0;
-  /// Two-stage triage: Goertzel-screen each series and FFT-classify
-  /// only the blocks that pass. Breaks bitwise equivalence with the
-  /// always-FFT scalar path (bounded loss, see quick_screen_test), so
-  /// default off.
-  bool goertzel_screen = false;
-  QuickScreenConfig screen;
 };
 
 /// What a sweep saw (summed across workers; deterministic).
@@ -54,7 +40,10 @@ struct StoreAnalyzeStats {
   std::uint64_t analyzed = 0;      ///< blocks with any recorded rounds
   std::uint64_t classified = 0;    ///< reached the classify stage
   std::uint64_t diurnal = 0;       ///< classified != non-diurnal
-  std::uint64_t screened_out = 0;  ///< skipped the FFT via the screen
+  /// Always 0: every classified block runs the full FFT test. Kept
+  /// only because bench/sleepbench's traced copy of the sweep still sums
+  /// it; it goes when ROADMAP item 1 deletes that copy.
+  std::uint64_t screened_out = 0;
 };
 
 /// Analyzes blocks [begin, end) in place, one block at a time through
@@ -65,8 +54,8 @@ StoreAnalyzeStats AnalyzeStoreRange(BlockStore& store, std::size_t begin,
                                     AnalysisScratch& scratch);
 
 /// Full-store sweep with `workers` threads owning contiguous ranges
-/// (serial when <= 1). Block verdicts are index-local, so any worker
-/// count produces byte-identical columns.
+/// (util::SplitRange; one inline worker when <= 1). Block verdicts are
+/// index-local, so any worker count produces byte-identical columns.
 StoreAnalyzeStats AnalyzeStore(BlockStore& store,
                                const StoreAnalyzerConfig& config,
                                int workers = 1);

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <thread>
 #include <vector>
+
+#include "sleepwalk/util/parallel.h"
 
 namespace sleepwalk::core {
 
@@ -62,29 +63,15 @@ void RunWorker(BlockStore& store, const StoreCampaignConfig& config,
 }
 
 /// Runs rounds [first, last) across all blocks with `workers` threads
-/// owning contiguous ranges; serial when workers <= 1.
+/// owning contiguous ranges (util::SplitRange; one inline worker when
+/// workers <= 1).
 void RunSegment(BlockStore& store, const StoreCampaignConfig& config,
                 std::int64_t first, std::int64_t last) {
-  const std::size_t n = store.size();
-  const int workers =
-      std::max(1, std::min(config.workers,
-                           static_cast<int>(n == 0 ? 1 : n)));
-  if (workers == 1) {
-    RunWorker(store, config, 0, n, first, last);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  const std::size_t chunk = (n + workers - 1) / workers;
-  for (int w = 0; w < workers; ++w) {
-    const std::size_t begin = std::min(n, w * chunk);
-    const std::size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    pool.emplace_back([&store, &config, begin, end, first, last] {
-      RunWorker(store, config, begin, end, first, last);
-    });
-  }
-  for (auto& thread : pool) thread.join();
+  const auto ranges = util::SplitRange(
+      store.size(), static_cast<std::size_t>(std::max(config.workers, 1)));
+  util::ParallelFor(ranges.size(), [&](std::size_t w) {
+    RunWorker(store, config, ranges[w].begin, ranges[w].end, first, last);
+  });
 }
 
 }  // namespace

@@ -69,7 +69,7 @@ struct StoreCampaignConfig {
   /// checkpoint — so the final snapshot carries the verdicts and a
   /// killed+resumed run stays byte-identical to an uninterrupted one.
   bool classify = false;
-  /// Sweep knobs (schedule/diurnal/stationarity/screen).
+  /// Sweep knobs (schedule/diurnal/stationarity).
   StoreAnalyzerConfig analyzer;
 };
 

@@ -19,7 +19,6 @@
 #include "sleepwalk/core/checkpoint.h"
 #include "sleepwalk/core/parallel_executor.h"
 #include "sleepwalk/core/pipeline.h"
-#include "sleepwalk/core/quick_screen.h"
 #include "sleepwalk/core/status.h"
 #include "sleepwalk/core/supervisor.h"
 

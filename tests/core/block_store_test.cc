@@ -219,11 +219,11 @@ TEST(BlockStore, SeriesSnapshotRoundTripsThroughWraparound) {
   }
 }
 
-TEST(BlockStore, LegacyTwoWordMetaSnapshotStillDecodes) {
-  // A PR 9 snapshot carries META {rounds_done, checkpoints_written}
-  // and no series columns. Forge one from a live store's column views
-  // (ids are frozen file-format constants) and require today's decoder
-  // to adopt it as an estimator-only store.
+TEST(BlockStore, LegacyTwoWordMetaSnapshotIsRefused) {
+  // An early estimator-only snapshot carried META {rounds_done,
+  // checkpoints_written} and no series columns. Forge one from a live
+  // store's column views (ids are frozen file-format constants): the
+  // decoder reads one META layout, three words, and refuses this one.
   BlockStore src;
   src.Reset(6);
   for (std::size_t i = 0; i < 6; ++i) {
@@ -255,14 +255,10 @@ TEST(BlockStore, LegacyTwoWordMetaSnapshotStillDecodes) {
   BlockStore restored;
   std::uint64_t rounds_done = 0;
   std::uint64_t checkpoints_written = 0;
-  ASSERT_TRUE(
-      restored.DecodeSnapshot(legacy, 0x1e6a, rounds_done, checkpoints_written)
-          .ok());
-  EXPECT_EQ(rounds_done, 1u);
-  EXPECT_EQ(checkpoints_written, 1u);
-  EXPECT_EQ(restored.series_capacity(), 0);
-  EXPECT_EQ(restored.size(), 6u);
-  EXPECT_EQ(restored.Digest(), src.Digest());
+  const auto error =
+      restored.DecodeSnapshot(legacy, 0x1e6a, rounds_done, checkpoints_written);
+  EXPECT_FALSE(error.ok());
+  EXPECT_NE(error.detail.find("META"), std::string::npos) << error.ToString();
 }
 
 TEST(BlockStore, SnapshotRefusesWrongFingerprintAndKind) {

@@ -243,39 +243,5 @@ TEST(StoreAnalyzer, UnprobedBlocksAreSkippedNotClassified) {
   EXPECT_NE(store.flags()[0] & core::kBlockFlagProbed, 0);
 }
 
-TEST(StoreAnalyzer, GoertzelScreenOnlyEverDowngradesToNonDiurnal) {
-  // Same samples, screen off vs on: the screen may only replace a
-  // diurnal verdict with non-diurnal (the triaged FFT skip), never the
-  // reverse, and must leave every other column untouched.
-  constexpr std::size_t kBlocks = 48;
-  BlockStore off;
-  BlockStore on;
-  off.Reset(kBlocks, {}, 300);
-  on.Reset(kBlocks, {}, 300);
-  DriveBoth(off, kBlocks, 280, 300, 0xd1a);
-  DriveBoth(on, kBlocks, 280, 300, 0xd1a);
-
-  StoreAnalyzerConfig screened;
-  screened.goertzel_screen = true;
-  const auto stats_off = core::AnalyzeStore(off, StoreAnalyzerConfig{}, 1);
-  const auto stats_on = core::AnalyzeStore(on, screened, 1);
-
-  ASSERT_GT(stats_off.diurnal, 0u)
-      << "synthetic sampler should produce diurnal blocks";
-  EXPECT_EQ(stats_on.analyzed, stats_off.analyzed);
-  EXPECT_EQ(stats_on.classified, stats_off.classified);
-  EXPECT_LE(stats_on.diurnal, stats_off.diurnal);
-  constexpr auto kNonDiurnal =
-      static_cast<std::uint8_t>(core::Diurnality::kNonDiurnal);
-  for (std::size_t i = 0; i < kBlocks; ++i) {
-    if (on.classification()[i] != off.classification()[i]) {
-      EXPECT_EQ(on.classification()[i], kNonDiurnal)
-          << "screen invented a verdict for block " << i;
-    }
-    EXPECT_EQ(on.mean_short()[i], off.mean_short()[i]) << "block " << i;
-    EXPECT_EQ(on.observed_days()[i], off.observed_days()[i]) << "block " << i;
-  }
-}
-
 }  // namespace
 }  // namespace sleepwalk

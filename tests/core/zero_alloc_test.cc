@@ -1,9 +1,9 @@
 // Allocation-count tests for the analysis hot loop: once scratch and
 // output capacities are warm, BlockAnalyzer::Finish / Reanalyze /
-// ComputeSpectrum / QuickDiurnalScreen must perform ZERO heap
-// allocations (DESIGN.md §10). Built as its own binary because it
-// replaces the global operator new/delete with counting versions —
-// that replacement is process-wide and must not leak into other suites.
+// ComputeSpectrum must perform ZERO heap allocations (DESIGN.md §10).
+// Built as its own binary because it replaces the global operator
+// new/delete with counting versions — that replacement is process-wide
+// and must not leak into other suites.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +14,6 @@
 
 #include "sleepwalk/core/block_analyzer.h"
 #include "sleepwalk/core/dataset.h"
-#include "sleepwalk/core/quick_screen.h"
 #include "sleepwalk/fft/plan.h"
 #include "sleepwalk/fft/spectrum.h"
 #include "sleepwalk/probing/scheduler.h"
@@ -205,22 +204,6 @@ TEST(ZeroAlloc, ComputeSpectrumSteadyState) {
   fft::ComputeSpectrum(series, options, scratch, spectrum);
   EXPECT_EQ(bluestein_counter.count(), 0u)
       << "Bluestein ComputeSpectrum allocated on warm scratch";
-}
-
-TEST(ZeroAlloc, QuickScreenSteadyState) {
-  Rng rng{42};
-  std::vector<double> series(1834);
-  for (auto& value : series) value = rng.NextDouble();
-
-  const QuickScreenConfig config;
-  std::vector<double> centered;
-  QuickDiurnalScreen(series, 14, config, centered);
-
-  AllocationCounter counter;
-  const auto result = QuickDiurnalScreen(series, 14, config, centered);
-  EXPECT_EQ(counter.count(), 0u)
-      << "QuickDiurnalScreen allocated on warm centered scratch";
-  EXPECT_GT(result.rms_amplitude, 0.0);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Fixture: serve/ is the admin plane — sanctioned for raw sockets,
-// epoll, and wall clocks (a serving loop is a wall phenomenon). The
-// ambient-RNG ban still applies everywhere.
+// epoll, wall clocks (a serving loop is a wall phenomenon) and its own
+// listener thread. The ambient-RNG ban still applies everywhere.
 #include <chrono>
+#include <thread>
 
 namespace fixture {
 
@@ -9,6 +10,8 @@ int Serve() {
   int fd = socket(2, 1, 0);
   auto deadline = std::chrono::steady_clock::now();
   (void)deadline;
+  std::thread listener{[] {}};
+  listener.join();
   return epoll_create1(0) + fd;
 }
 

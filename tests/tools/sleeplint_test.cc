@@ -44,7 +44,8 @@ TEST(Sleeplint, RuleCatalogue) {
   const auto& rules = sleeplint::AllRules();
   const std::vector<std::string> expected = {
       "no-wallclock", "no-ambient-rng", "no-raw-io", "no-raw-fs",
-      "no-raw-socket", "no-unchecked-narrowing", "header-hygiene",
+      "no-raw-socket", "no-raw-thread", "no-unchecked-narrowing",
+      "header-hygiene",
       "bad-allow", "layering", "include-cycle", "lock-order",
       "throwing-destructor", "throw-in-noexcept", "crash-containment"};
   EXPECT_EQ(rules, expected);
@@ -134,9 +135,39 @@ TEST(Sleeplint, NoRawSocketFlagsSyscallsOutsideSanctionedLayers) {
   EXPECT_EQ(result.suppressed_by_allow, 1);
 }
 
+TEST(Sleeplint, NoRawThreadFlagsThreadsOutsideThePool) {
+  const auto result = RunOn("src/sleepwalk/core/raw_thread_bad.cc");
+  EXPECT_TRUE(HasDiagnostic(result, "no-raw-thread", 10));  // std::thread
+  EXPECT_TRUE(HasDiagnostic(result, "no-raw-thread", 11));  // std::jthread
+  EXPECT_TRUE(HasDiagnostic(result, "no-raw-thread", 12));  // hw concurrency
+  // std::this_thread is not a thread of ours.
+  EXPECT_FALSE(HasDiagnostic(result, "no-raw-thread", 13));
+  EXPECT_EQ(result.diagnostics.size(), 3u);
+  // Line 15's std::thread is escaped by the preceding-line allow.
+  EXPECT_FALSE(HasDiagnostic(result, "no-raw-thread", 15));
+  EXPECT_EQ(result.suppressed_by_allow, 1);
+}
+
+TEST(Sleeplint, NoRawThreadGrantsOnlyThePoolAndLibraryScope) {
+  const std::string content = "std::vector<std::thread> threads;\n";
+  int allows = 0;
+  // util/parallel is the one worker pool.
+  EXPECT_TRUE(sleeplint::LintFile("src/sleepwalk/util/parallel.cc", content,
+                                  {}, &allows)
+                  .empty());
+  // Binaries and tests may run their own threads.
+  EXPECT_TRUE(
+      sleeplint::LintFile("tools/sleeptop.cc", content, {}, &allows).empty());
+  const auto flagged = sleeplint::LintFile("src/sleepwalk/util/rng.cc",
+                                           content, {}, &allows);
+  ASSERT_EQ(flagged.size(), 1u);
+  EXPECT_EQ(flagged[0].rule, "no-raw-thread");
+}
+
 TEST(Sleeplint, ServePathExemptFromSocketAndWallclockRules) {
-  // serve/ is the admin plane: raw sockets, epoll, and clocks are its
-  // job, so neither no-raw-socket nor no-wallclock fires there.
+  // serve/ is the admin plane: raw sockets, epoll, clocks and its
+  // listener thread are its job, so neither no-raw-socket, no-wallclock
+  // nor no-raw-thread fires there.
   const auto result = RunOn("src/sleepwalk/serve/serve_exempt.cc");
   EXPECT_TRUE(result.diagnostics.empty());
 }
@@ -188,9 +219,9 @@ TEST(Sleeplint, DirectoryWalkFindsEveryFixture) {
   // fixtures/wp and are covered by the WholeProgram tests below.
   options.roots = {kFixtures + "/src"};
   const auto result = sleeplint::Run(options);
-  // 11 fixture files; per-file counts asserted above sum to 22.
-  EXPECT_EQ(result.files_scanned, 11);
-  EXPECT_EQ(result.diagnostics.size(), 22u);
+  // 12 fixture files; per-file counts asserted above sum to 25.
+  EXPECT_EQ(result.files_scanned, 12);
+  EXPECT_EQ(result.diagnostics.size(), 25u);
   // Diagnostics are sorted by path then line for stable output.
   for (std::size_t i = 1; i < result.diagnostics.size(); ++i) {
     const auto& a = result.diagnostics[i - 1];

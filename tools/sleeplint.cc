@@ -217,6 +217,13 @@ constexpr TokenRule kRawSocketTokens[] = {
     {"sendto(", true, "sendto()"},
 };
 
+// Thread construction and std::thread::hardware_concurrency both match
+// the type-name token; `#include <thread>` and std::this_thread do not.
+constexpr TokenRule kRawThreadTokens[] = {
+    {"std::thread", false, "std::thread"},
+    {"std::jthread", false, "std::jthread"},
+};
+
 constexpr TokenRule kRawIoTokens[] = {
     {"std::cout", false, "std::cout"},
     {"std::cerr", false, "std::cerr"},
@@ -392,6 +399,16 @@ std::vector<Diagnostic> LintPrepared(
                    "sockets",
                    diagnostics, suppressed_by_allow);
   }
+  if (RuleEnabled(rules::kRawThread, only_rules) &&
+      policy::IsLibraryPath(path) &&
+      !policy::Grants(path, Capability::kThreads)) {
+    CheckTokenRule(path, source, rules::kRawThread, kRawThreadTokens,
+                   std::size(kRawThreadTokens),
+                   "starts or names a raw thread; fan work out through "
+                   "util::ParallelFor (util/parallel.h), the library's one "
+                   "worker pool (util/parallel and serve/ are exempt)",
+                   diagnostics, suppressed_by_allow);
+  }
   if (RuleEnabled(rules::kNarrowing, only_rules) &&
       policy::IsSerializationPath(path)) {
     for (std::size_t i = 0; i < source.lexed.code.size(); ++i) {
@@ -558,11 +575,11 @@ const std::vector<std::string>& AllRules() {
   static const std::vector<std::string> kRules = {
       std::string(rules::kWallclock),     std::string(rules::kRng),
       std::string(rules::kRawIo),         std::string(rules::kRawFs),
-      std::string(rules::kRawSocket),     std::string(rules::kNarrowing),
-      std::string(rules::kHygiene),       std::string(rules::kBadAllow),
-      std::string(rules::kLayering),      std::string(rules::kIncludeCycle),
-      std::string(rules::kLockOrder),     std::string(rules::kThrowingDtor),
-      std::string(rules::kThrowNoexcept),
+      std::string(rules::kRawSocket),     std::string(rules::kRawThread),
+      std::string(rules::kNarrowing),     std::string(rules::kHygiene),
+      std::string(rules::kBadAllow),      std::string(rules::kLayering),
+      std::string(rules::kIncludeCycle),  std::string(rules::kLockOrder),
+      std::string(rules::kThrowingDtor),  std::string(rules::kThrowNoexcept),
       std::string(rules::kCrashContainment)};
   return kRules;
 }

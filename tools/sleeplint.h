@@ -28,6 +28,9 @@
 //   no-raw-fs               fstream/fopen/... outside storage/
 //   no-raw-socket           socket/epoll syscalls outside the granted
 //                           network layers
+//   no-raw-thread           std::thread/std::jthread in library code
+//                           outside util/parallel (the one worker pool)
+//                           and serve/ (the admin listener thread)
 //   no-unchecked-narrowing  raw static_cast to a narrower integer in
 //                           serialization files — use util::CheckedNarrow
 //   header-hygiene          include guard or #pragma once in every header
@@ -69,6 +72,7 @@ inline constexpr std::string_view kRng = "no-ambient-rng";
 inline constexpr std::string_view kRawIo = "no-raw-io";
 inline constexpr std::string_view kRawFs = "no-raw-fs";
 inline constexpr std::string_view kRawSocket = "no-raw-socket";
+inline constexpr std::string_view kRawThread = "no-raw-thread";
 inline constexpr std::string_view kNarrowing = "no-unchecked-narrowing";
 inline constexpr std::string_view kHygiene = "header-hygiene";
 inline constexpr std::string_view kBadAllow = "bad-allow";

@@ -26,7 +26,8 @@ struct Grant {
 // serving loop (wall phenomena); storage/ is the single filesystem
 // layer; util/rng is the one sanctioned RNG implementation; the
 // failpoint machinery and the storage envs that execute its crash
-// actions are the only CrashInjected throwers.
+// actions are the only CrashInjected throwers; util/parallel is the one
+// worker pool and the admin server's listener is the one other thread.
 constexpr Grant kGrants[] = {
     {Capability::kClock, "net/socket"},
     {Capability::kClock, "net/icmp"},
@@ -39,6 +40,8 @@ constexpr Grant kGrants[] = {
     {Capability::kRng, "util/rng"},
     {Capability::kCrashThrow, "util/failpoint"},
     {Capability::kCrashThrow, "/storage/"},
+    {Capability::kThreads, "util/parallel"},
+    {Capability::kThreads, "/serve/"},
 };
 
 }  // namespace

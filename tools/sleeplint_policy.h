@@ -25,9 +25,10 @@
 //
 //   * CAPABILITY GRANTS naming which paths may perform which ambient
 //     effects (clock reads, raw sockets, raw filesystem, RNG
-//     construction, CrashInjected throws). The per-line rules consult
-//     Grants() instead of hardcoded path predicates, so the entire
-//     escape-hatch surface of the linter is visible in one table.
+//     construction, CrashInjected throws, raw threads). The per-line
+//     rules consult Grants() instead of hardcoded path predicates, so
+//     the entire escape-hatch surface of the linter is visible in one
+//     table.
 //
 // Paths are matched by substring (directories) or suffix (named
 // exemptions), after normalizing '\' to '/'; fixture trees therefore
@@ -48,6 +49,7 @@ enum class Capability {
   kFilesystem,  ///< direct filesystem access (everyone else via storage::Env)
   kRng,         ///< constructing non-seeded randomness
   kCrashThrow,  ///< throwing util::CrashInjected (failpoint machinery)
+  kThreads,     ///< naming std::thread/std::jthread (the worker pool)
 };
 
 struct LayerEntry {
